@@ -59,7 +59,6 @@ class BratteliPath:
 class BratteliDiagram:
     d: int
     types: tuple[int, ...]
-    wall_position: int
     levels: list[list[Staircase]]
     # edges[k]: (i, j) meaning levels[k][i] -> levels[k+1][j]
     edges: list[list[tuple[int, int]]] = field(repr=False)
@@ -93,10 +92,7 @@ def build_tower(types: tuple[int, ...], d: int) -> BratteliDiagram:
         reindex = {nxt[s]: k for k, s in enumerate(order)}
         edges.append(sorted((i, reindex[j]) for i, j in lvl_edges))
         levels.append(order)
-    wall = sum(1 for t in types if t == 1) if all(
-        types[k] >= types[k + 1] for k in range(len(types) - 1)) else -1
-    return BratteliDiagram(d=d, types=tuple(types), wall_position=wall,
-                           levels=levels, edges=edges)
+    return BratteliDiagram(d=d, types=tuple(types), levels=levels, edges=edges)
 
 
 def build(n: int, m: int, d: int) -> BratteliDiagram:

@@ -22,7 +22,8 @@ an exact identity up to a global phase per block, and with the real dual
 coefficients the bent map assembles into a real unitary.  Unitarity is
 asserted; a failure would signal a convention bug, not a numerical issue.
 
-Both constructions are memoized; cached and fresh results are the same arrays.
+Both constructions are memoized; cached and fresh results are the same arrays,
+which are read-only so that no caller can corrupt later transforms.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def dual_cg(mu: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
     if dim(mu) * d > cap:
         raise CapExceeded(f"dim(mu) * d = {dim(mu) * d} exceeds cap {cap}")
     out = _build_dual(mu)
+    out.matrix.setflags(write=False)
     with _memo_lock:
         return _memo.setdefault(key, out)
 
@@ -175,6 +177,7 @@ def defining_cg(lam: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
         raise RuntimeError(
             f"bent defining CG for {lam} failed unitarity ({resid:.2e}); "
             "coupling conventions are inconsistent")
+    W.setflags(write=False)
     out = CGTransform(lam, d, "defining", W, blocks)
     with _memo_lock:
         return _memo.setdefault(key, out)

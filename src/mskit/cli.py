@@ -57,7 +57,7 @@ def cmd_schur(args) -> int:
 def cmd_verify(args) -> int:
     if args.file:
         with open(args.file) as f:
-            W = mio.read_schur(f)
+            W = mio.read_schur(f, cap=_cap(args))
     else:
         W = schur.build_mixed_schur(args.n, args.m, args.d, args.order, cap=_cap(args))
     tol = args.tol

@@ -22,9 +22,10 @@ from typing import TextIO
 
 import numpy as np
 
+from .bratteli import DEFAULT_CAP, CapExceeded
 from .channels import ChoiMatrix
-from .schur import SchurTransform
-from .staircase import format_staircase, parse_staircase
+from .schur import SchurTransform, parse_factor_order
+from .staircase import dim, format_staircase, parse_staircase
 
 MAGIC = "mskit-matrix"
 VERSION = "1"
@@ -62,22 +63,63 @@ def write_schur(f: TextIO, W: SchurTransform) -> None:
     _write_rows(f, W.matrix)
 
 
-def read_schur(f: TextIO) -> SchurTransform:
+def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
+    """Parse a transform file; malformed content raises ValueError.
+
+    The labels must be distinct, with staircases of length d, 0 <= q <
+    dim(gamma) and p >= 0, and must list complete (gamma, p) blocks in the
+    order build_mixed_schur writes them, which the verification routines
+    rely on.  A size d^(n+m) over cap raises CapExceeded before any matrix
+    is allocated.
+    """
     lines = f.read().splitlines()
-    head = lines[0].split()
+    header = lines[0] if lines else ""
+    head = header.split()
     if head[:2] != [MAGIC, VERSION] or len(head) != 5:
-        raise ValueError(f"bad header: {lines[0]!r}")
+        raise ValueError(f"bad header: {header!r}")
     n, m, d = (int(x) for x in head[2:])
-    order = lines[1].strip()
+    if n < 0 or m < 0 or d < 1:
+        raise ValueError(f"bad header: {header!r} needs n, m >= 0 and d >= 1")
+    # d >= 2 and n + m >= cap.bit_length() already exceed the cap: no huge power
+    if (d > 1 and n + m >= cap.bit_length()) or d ** (n + m) > cap:
+        raise CapExceeded(f"d^(n+m) = {d}^{n + m} exceeds cap {cap}")
     size = d ** (n + m)
-    basis = []
-    for line in lines[2:2 + size]:
-        fields = dict(part.split("=") for part in line.split())
-        basis.append((parse_staircase(fields["gamma"]), int(fields["q"]), int(fields["p"])))
+    if len(lines) < 2:
+        raise ValueError("missing factor order line")
+    order = parse_factor_order(lines[1].strip(), n, m)
+    label_lines = lines[2:2 + size]
+    if len(label_lines) != size:
+        raise ValueError(f"expected {size} label lines, found {len(label_lines)}")
+    basis = [_parse_label(line, d) for line in label_lines]
+    if len(set(basis)) != size:
+        raise ValueError("duplicate row labels")
+    mult: dict[tuple[int, ...], int] = {}
+    for g, _, p in basis:
+        mult[g] = max(mult.get(g, 0), p + 1)
+    if basis != [(g, q, p) for g in sorted(mult) for p in range(mult[g])
+                 for q in range(dim(g))]:
+        raise ValueError("row labels must list complete (gamma, p) blocks in "
+                         "ascending order, q fastest")
     matrix = _read_rows(lines[2 + size:2 + 2 * size], size, size)
     if np.abs(matrix.imag).max() == 0.0:
         matrix = matrix.real
     return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=matrix, basis=basis)
+
+
+def _parse_label(line: str, d: int) -> tuple[tuple[int, ...], int, int]:
+    parts = line.split()
+    fields = dict(part.partition("=")[::2] for part in parts)
+    if len(parts) != 3 or sorted(fields) != ["gamma", "p", "q"]:
+        raise ValueError(f"label line {line!r} must be gamma=<staircase> q=<idx> p=<idx>")
+    gamma = parse_staircase(fields["gamma"])
+    q, p = int(fields["q"]), int(fields["p"])
+    if len(gamma) != d:
+        raise ValueError(f"label line {line!r}: staircase length is not d = {d}")
+    if not 0 <= q < dim(gamma):
+        raise ValueError(f"label line {line!r}: q must be in 0..{dim(gamma) - 1}")
+    if p < 0:
+        raise ValueError(f"label line {line!r}: p must be >= 0")
+    return gamma, q, p
 
 
 def write_choi(f: TextIO, J: ChoiMatrix) -> None:

@@ -5,7 +5,17 @@ the computational basis of the mixed tensor power to the labeled basis
 |staircase, GT index, path index>.  One Clebsch-Gordan transform is applied
 per tensor leg, defining or dual according to factor_order; the sequence of
 intermediate staircases seen by each output block is a path in the box
-add/remove tower, which fixes the multiplicity label.
+add/remove tower, which fixes the multiplicity label.  Each leg costs one
+GEMM per staircase reached so far, over all segments ending there at once,
+and makes no transposed copy of its output.
+
+The GT basis conserves weight, so W is block diagonal once rows are grouped
+by pattern weight and columns by computational weight (weight_sectors).  Both
+checks of W itself work sector by sector: weight_check returns the exact
+random-phase Frobenius deviation from a table of squared entries per pair of
+weights, and SchurTransform.unitarity_residual is exact inside each sector
+and adds a Cauchy-Schwarz bound for entries between sectors, which is zero
+for a correct W.
 
 Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
@@ -74,8 +84,27 @@ class SchurTransform:
         return [(g, dim(g), mult[g]) for g in sorted(mult)]
 
     def unitarity_residual(self) -> float:
-        w = self.matrix
-        return float(np.abs(w @ w.T - np.eye(w.shape[0])).max())
+        """Upper bound on max |W Wt - I|, exact when W conserves weight.
+
+        For every weight sector, max |B Bt - I| over its diagonal block B
+        (rows and columns of that weight) is computed exactly.  The entries E
+        of each row outside its sector's columns add the Cauchy-Schwarz bound
+        2 max_a ||B_a|| max_a ||E_a|| + max_a ||E_a||^2 (norms of row a of B
+        and of E), which covers every other contribution to W Wt.  For a
+        correct W, E is exactly zero and the result is the true max entry.
+        """
+        W = self.matrix
+        _, row_sector, col_sector = weight_sectors(self)
+        exact = b_max = e_max = 0.0
+        for k in np.unique(row_sector):
+            rows = np.flatnonzero(row_sector == k)
+            in_k = col_sector == k
+            B = W[np.ix_(rows, np.flatnonzero(in_k))]
+            E = W[np.ix_(rows, np.flatnonzero(~in_k))]
+            exact = max(exact, float(np.abs(B @ B.T - np.eye(len(rows))).max()))
+            b_max = max(b_max, float(np.linalg.norm(B, axis=1).max()))
+            e_max = max(e_max, float(np.linalg.norm(E, axis=1).max()))
+        return exact + 2 * b_max * e_max + e_max ** 2
 
 
 def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
@@ -92,7 +121,9 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
         raise CapExceeded(f"d^(n+m) = {size} exceeds cap {cap}")
     order = "+" * n + "-" * m if factor_order is None else parse_factor_order(factor_order, n, m)
 
-    # segments: vertex path -> (block of rows, one per GT pattern of the endpoint)
+    # segments: vertex path -> transposed block of W, one column per GT pattern
+    # of the endpoint.  Transposed, the blocks of a leg come out of one GEMM in
+    # place, and W is transposed back once at the end instead of once per leg.
     zero = (0,) * d
     segments: list[tuple[tuple[Staircase, ...], np.ndarray]] = [
         ((zero,), np.ones((1, 1)))]
@@ -103,20 +134,22 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
         new_segments = []
         for g, idxs in grouped.items():
             t = cg_transform("defining" if kind == "+" else "dual", g)
-            dg = dim(g)
-            stack = np.stack([segments[i][1] for i in idxs])       # (S, dg, N)
-            cube = t.matrix.reshape(t.matrix.shape[0], dg, d)      # (rows, q, i)
-            out = np.einsum("rqi,sqn->srni", cube, stack)          # (S, rows, N, i)
-            out = out.reshape(len(idxs), t.matrix.shape[0], -1)
+            r, dg = t.matrix.shape[0], dim(g)
+            # one GEMM over all segments: ((s, n), q) @ (q, (i, r)) -> (s, (n, i), r)
+            cg_q_ir = t.matrix.reshape(r, dg, d).transpose(1, 2, 0).reshape(dg, d * r)
+            stack = np.concatenate([segments[i][1] for i in idxs])
+            out = (stack @ cg_q_ir).reshape(len(idxs), -1, r)
             for target, off, sz in t.output_blocks:
                 for a, i in enumerate(idxs):
                     path = segments[i][0]
-                    new_segments.append((path + (target,), out[a, off:off + sz]))
+                    new_segments.append((path + (target,), out[a, :, off:off + sz]))
         segments = new_segments
 
     segments.sort(key=lambda s: (s[0][-1], s[0]))
     basis = []
-    rows = []
+    # filled block by block: np.vstack of the transposed views would return
+    # W in Fortran order, which slows every row-wise consumer
+    W = np.empty((size, size))
     path_of: dict[tuple[Staircase, int], tuple[Staircase, ...]] = {}
     mult_seen: dict[Staircase, int] = {}
     for path, block in segments:
@@ -124,9 +157,8 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
         p = mult_seen.get(g, 0)
         mult_seen[g] = p + 1
         path_of[(g, p)] = path
-        basis.extend((g, q, p) for q in range(block.shape[0]))
-        rows.append(block)
-    W = np.vstack(rows)
+        W[len(basis):len(basis) + block.shape[1]] = block.T
+        basis.extend((g, q, p) for q in range(block.shape[1]))
     return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=W,
                           basis=basis, path_of=path_of)
 
@@ -312,34 +344,57 @@ def _tensor_permutation_matrix(perm: list[int], d: int) -> scipy.sparse.csr_matr
     return scipy.sparse.csr_matrix((data, (dst, src)), shape=(size, size))
 
 
+def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of W by GT label weight and its columns by computational weight.
+
+    Returns (weights, row_sector, col_sector): weights is the (K, d) array of
+    the distinct weights found on either side, row_sector[a] is the index in
+    weights of the weight of row a's GT pattern, and col_sector[c] that of
+    basis state c, which gains +e_i for value i on a '+' leg and -e_i on a
+    '-' leg.  A correct W is zero wherever row_sector[a] != col_sector[c].
+    """
+    patterns = {g: [pattern_weight(pat) for pat in enumerate_patterns(g)]
+                for g in {g for g, _, _ in W.basis}}
+    row_w = np.array([patterns[g][q] for g, q, _ in W.basis], dtype=np.int64)
+    col_w = np.zeros((W.size, W.d), dtype=np.int64)
+    cols = np.arange(W.size)
+    reps = W.size
+    for kind in W.factor_order:
+        reps //= W.d
+        col_w[cols, (cols // reps) % W.d] += 1 if kind == "+" else -1
+    weights, sector = np.unique(np.vstack([row_w, col_w]), axis=0, return_inverse=True)
+    sector = sector.reshape(-1)
+    return weights, sector[:W.size], sector[W.size:]
+
+
 def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
     """GT adaptation test: diagonal unitaries must act by the pattern weights.
 
     For U = diag(e^{i theta}) the mixed tensor operator is itself diagonal, so
     W U_mixed Wt == diag(label phases) is checked as an elementwise identity
-    on Wt; the returned Frobenius norm bounds every entry of the deviation.
+    on Wt.  The returned value is the exact Frobenius norm of the deviation,
+    maximized over `trials` random theta; it bounds every entry of the
+    deviation and is exactly 0.0 for a W that conserves weight.  The entry
+    (a, c) deviates by |W[a, c]| |e^{i w_c theta} - e^{i w_a theta}|, which
+    depends on the row and column only through their weights, so the squared
+    entries are summed once per (row weight, column weight) pair and each
+    trial works on that K x K table.
     """
     from .rand import rng_from_seed
 
     rng = rng_from_seed(seed)
-    weights = np.array([pattern_weight(enumerate_patterns(g)[q])
-                        for g, q, p in W.basis])
-    # computational-basis weight of every tensor index, one leg at a time
-    comp_w = np.zeros((W.size, W.d))
-    reps = W.size
-    for k, kind in enumerate(W.factor_order):
-        reps //= W.d
-        idx = (np.arange(W.size) // reps) % W.d
-        sign = 1.0 if kind == "+" else -1.0
-        comp_w[np.arange(W.size), idx] += sign
-    W2 = W.matrix.T ** 2
+    weights, row_sector, col_sector = weight_sectors(W)
+    K = len(weights)
+    mass = np.zeros((K, K))
+    for k in np.unique(row_sector):
+        col_mass = (np.abs(W.matrix[row_sector == k]) ** 2).sum(axis=0)
+        mass[k] = np.bincount(col_sector, weights=col_mass, minlength=K)
     worst = 0.0
     for _ in range(trials):
         theta = rng.uniform(-np.pi, np.pi, size=W.d)
-        tvec = np.exp(1j * (comp_w @ theta))
         phases = np.exp(1j * (weights @ theta))
-        gap = np.abs(tvec[:, None] - phases[None, :]) ** 2
-        worst = max(worst, float(np.sqrt((W2 * gap).sum())))
+        gap = np.abs(phases[:, None] - phases[None, :]) ** 2
+        worst = max(worst, float(np.sqrt((mass * gap).sum())))
     return worst
 
 

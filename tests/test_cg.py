@@ -157,3 +157,12 @@ def test_cap():
         dual_cg((30, 20, 10, 0, -10), cap=1000)
     with pytest.raises(ValueError):
         cg_transform("other", (1, 0))
+
+
+def test_memoized_matrices_are_read_only():
+    for t in (dual_cg((1, 0, -1)), defining_cg((1, 0, 0))):
+        assert cg_transform(t.kind, t.input_irrep) is t
+        with pytest.raises(ValueError):
+            t.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            t.block(t.output_blocks[0][0])[0] = 0.0

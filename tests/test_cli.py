@@ -193,3 +193,21 @@ def test_ptpqp_command(capsys):
                        "--from", "[1,-1]:0:0", "--to", "[1,-1]:1:0")
     assert code == 0
     assert abs(float(out)) < 1e-10
+
+
+@pytest.mark.parametrize("edit", ["q beyond dim", "no gamma", "empty"])
+def test_verify_malformed_file_is_one_line_error(tmp_path, capsys, edit):
+    f = tmp_path / "w"
+    run(capsys, "schur", "1", "1", "2", "--out", str(f))
+    lines = f.read_text().splitlines()
+    if edit == "q beyond dim":
+        lines[2] = "gamma=[0,0] q=5 p=0"
+    elif edit == "no gamma":
+        lines[2] = "q=0 p=0"
+    else:
+        lines = []
+    f.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run(capsys, "verify", "--file", str(f), "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

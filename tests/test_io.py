@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from mskit.bratteli import CapExceeded
 from mskit.channels import example_channel
 from mskit.io import (dumps, read_choi, read_matrix, read_schur, write_choi,
                       write_matrix, write_schur)
@@ -66,3 +67,44 @@ def test_truncated_matrix_rejected():
     lines = dumps(write_schur, W).splitlines()
     with pytest.raises(ValueError):
         read_schur(io.StringIO("\n".join(lines[:-1]) + "\n"))
+
+
+def _schur_lines(n=1, m=1, d=2):
+    return dumps(write_schur, build_mixed_schur(n, m, d)).splitlines()
+
+
+def _replaced(lines, k, line):
+    return lines[:k] + [line] + lines[k + 1:]
+
+
+_L = _schur_lines()
+# case -> (file lines, pattern the error message must match)
+MALFORMED_SCHUR = {
+    "empty file": ([], "bad header"),
+    "label q beyond dim(gamma)": (_replaced(_L, 2, "gamma=[0,0] q=5 p=0"), "q must be in"),
+    "label without gamma=": (_replaced(_L, 2, "q=0 p=0"), "must be gamma="),
+    "negative p": (_replaced(_L, 2, "gamma=[0,0] q=0 p=-1"), "p must be >= 0"),
+    "staircase of the wrong length": (_replaced(_L, 2, "gamma=[0,0,0] q=0 p=0"),
+                                      "staircase length"),
+    "duplicate label": (_replaced(_L, 3, _L[4]), "duplicate"),
+    "labels out of block order": (_L[:2] + _L[3:6] + [_L[2]] + _L[6:], "blocks"),
+    "missing label line": (_L[:5], "label lines"),
+    "bad factor order": (_replaced(_L, 1, "++"), "factor order"),
+    "missing factor order": (_L[:1], "factor order"),
+    "negative n": (_replaced(_L, 0, "mskit-matrix 1 -1 1 2"), "bad header"),
+    "over the cap": (["mskit-matrix 1 40 40 3"], "exceeds cap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCHUR))
+def test_malformed_schur_rejected(case):
+    lines, match = MALFORMED_SCHUR[case]
+    with pytest.raises(ValueError, match=match):
+        read_schur(io.StringIO("".join(line + "\n" for line in lines)))
+
+
+def test_schur_cap_checked_before_reading():
+    text = "\n".join(_schur_lines(2, 2, 2)) + "\n"
+    with pytest.raises(CapExceeded):
+        read_schur(io.StringIO(text), cap=8)
+    assert read_schur(io.StringIO(text), cap=16).size == 16
