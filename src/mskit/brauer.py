@@ -184,43 +184,29 @@ def represent(sigma: WalledBrauerDiagram, d: int, cap: int = 4096) -> sp.coo_mat
     """Sparse 0/1 matrix of the diagram action on (C^d)^{tensor (n+m)}.
 
     Entry (j, i) is the product of Kronecker deltas over connected node pairs,
-    with i-variables on top nodes and j-variables on bottom nodes.
+    with i-variables on top nodes and j-variables on bottom nodes.  Each of
+    the N pairs carries one free value, so the d^N nonzeros are enumerated by
+    the value tuples: a pair adds value * stride of each top node to the
+    column index and of each bottom node to the row index.  Pairs are taken
+    in order of their first node, so the entries come out column by column
+    as the top-node digits count up.
     """
     N = sigma.size
     dim = d ** N
     if dim > cap:
         raise ValueError(f"d^(n+m) = {dim} exceeds cap {cap}")
-    top_top = []
-    top_bot = {}   # top column -> bottom column
-    bot_bot = []
-    for x in range(2 * N):
-        y = sigma.pairing[x]
-        if x > y:
-            continue
-        if x < N and y < N:
-            top_top.append((x, y))
-        elif x < N <= y:
-            top_bot[x] = y - N
-        else:
-            bot_bot.append((x - N, y - N))
-    rows, cols = [], []
-    free = len(bot_bot)
     strides = [d ** (N - 1 - k) for k in range(N)]
-    for i in itertools.product(range(d), repeat=N):
-        if any(i[a] != i[b] for a, b in top_top):
-            continue
-        col = sum(v * s for v, s in zip(i, strides))
-        base = [0] * N
-        for a, c in top_bot.items():
-            base[c] = i[a]
-        for vals in itertools.product(range(d), repeat=free):
-            j = list(base)
-            for (a, b), v in zip(bot_bot, vals):
-                j[a] = j[b] = v
-            rows.append(sum(v * s for v, s in zip(j, strides)))
-            cols.append(col)
-    data = np.ones(len(rows), dtype=np.int64)
-    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
+    col_w, row_w = np.zeros(N, dtype=np.int64), np.zeros(N, dtype=np.int64)
+    pairs = [(x, y) for x, y in enumerate(sigma.pairing) if x < y]
+    for k, pair in enumerate(pairs):
+        for node in pair:
+            if node < N:
+                col_w[k] += strides[node]
+            else:
+                row_w[k] += strides[node - N]
+    vals = np.indices((d,) * N, dtype=np.int64).reshape(N, dim)
+    data = np.ones(dim, dtype=np.int64)
+    return sp.coo_matrix((data, (row_w @ vals, col_w @ vals)), shape=(dim, dim))
 
 
 def all_diagrams(n: int, m: int) -> list[WalledBrauerDiagram]:

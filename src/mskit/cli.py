@@ -110,14 +110,14 @@ def cmd_channel(args) -> int:
         return 0
 
     with open(args.choi) as f:
-        J = mio.read_choi(f)
+        J = mio.read_choi(f, cap=_cap(args))
     if args.channel_cmd == "twirl":
         Jt = channels.twirl(J, J.schur_transform(cap=_cap(args)))
         with open(args.out, "w") as f:
             mio.write_choi(f, Jt)
         return 0
     with open(args.rho) as f:
-        rho = mio.read_matrix(f)
+        rho = mio.read_matrix(f, cap=_cap(args))
     if args.channel_cmd == "apply":
         out = channels.apply_direct(J, rho)
     else:  # teleport

@@ -31,13 +31,12 @@ MAGIC = "mskit-matrix"
 VERSION = "1"
 
 
-def _fmt_entry(z: complex) -> str:
-    return f"{float(z.real)!r},{float(z.imag)!r}"
-
-
 def _write_rows(f: TextIO, matrix: np.ndarray) -> None:
+    # tolist hands repr Python floats directly, with no numpy scalar per entry;
+    # converting row by row keeps the Python objects to one row at a time
     for row in np.atleast_2d(matrix):
-        f.write(" ".join(_fmt_entry(z) for z in row))
+        re, im = row.real.astype(float).tolist(), row.imag.astype(float).tolist()
+        f.write(" ".join(f"{a!r},{b!r}" for a, b in zip(re, im)))
         f.write("\n")
 
 
@@ -49,10 +48,32 @@ def _read_rows(lines: list[str], dim_rows: int, dim_cols: int) -> np.ndarray:
         parts = line.split()
         if len(parts) != dim_cols:
             raise ValueError(f"row {r}: expected {dim_cols} entries, found {len(parts)}")
-        for c, p in enumerate(parts):
-            re_s, im_s = p.split(",")
-            out[r, c] = complex(float(re_s), float(im_s))
+        try:
+            for c, p in enumerate(parts):
+                re_s, im_s = p.split(",")
+                out[r, c] = complex(float(re_s), float(im_s))
+        except ValueError:
+            raise ValueError(f"row {r}: entry {p!r} is not a re,im pair of floats") from None
     return out
+
+
+def _check_cap(d: int, legs: int, cap: int) -> None:
+    """Raise CapExceeded when d^legs > cap, without computing a huge power."""
+    # d >= 2 and legs >= cap.bit_length() already exceed the cap
+    if (d > 1 and legs >= cap.bit_length()) or d ** legs > cap:
+        raise CapExceeded(f"d^(n+m) = {d}^{legs} exceeds cap {cap}")
+
+
+def _header_sizes(lines: list[str], kind: str, count: int) -> list[int]:
+    """The integer fields of a "mskit-matrix 1 <kind> ..." header line."""
+    header = lines[0] if lines else ""
+    head = header.split()
+    if head[:3] != [MAGIC, VERSION, kind] or len(head) != 3 + count:
+        raise ValueError(f"bad header: {header!r}")
+    try:
+        return [int(x) for x in head[3:]]
+    except ValueError:
+        raise ValueError(f"bad header: {header!r} needs integer sizes") from None
 
 
 def write_schur(f: TextIO, W: SchurTransform) -> None:
@@ -80,9 +101,7 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     n, m, d = (int(x) for x in head[2:])
     if n < 0 or m < 0 or d < 1:
         raise ValueError(f"bad header: {header!r} needs n, m >= 0 and d >= 1")
-    # d >= 2 and n + m >= cap.bit_length() already exceed the cap: no huge power
-    if (d > 1 and n + m >= cap.bit_length()) or d ** (n + m) > cap:
-        raise CapExceeded(f"d^(n+m) = {d}^{n + m} exceeds cap {cap}")
+    _check_cap(d, n + m, cap)
     size = d ** (n + m)
     if len(lines) < 2:
         raise ValueError("missing factor order line")
@@ -127,12 +146,17 @@ def write_choi(f: TextIO, J: ChoiMatrix) -> None:
     _write_rows(f, J.matrix)
 
 
-def read_choi(f: TextIO) -> ChoiMatrix:
+def read_choi(f: TextIO, cap: int = DEFAULT_CAP) -> ChoiMatrix:
+    """Parse a Choi matrix file; malformed content raises ValueError.
+
+    The header needs integers m, n >= 0 and d >= 1; a size d^(m+n) over cap
+    raises CapExceeded before any matrix is allocated.
+    """
     lines = f.read().splitlines()
-    head = lines[0].split()
-    if head[:3] != [MAGIC, VERSION, "choi"] or len(head) != 6:
-        raise ValueError(f"bad header: {lines[0]!r}")
-    m, n, d = (int(x) for x in head[3:])
+    m, n, d = _header_sizes(lines, "choi", 3)
+    if m < 0 or n < 0 or d < 1:
+        raise ValueError(f"bad header: {lines[0]!r} needs m, n >= 0 and d >= 1")
+    _check_cap(d, m + n, cap)
     size = d ** (m + n)
     return ChoiMatrix(n_out=n, m_in=m, d=d, matrix=_read_rows(lines[1:], size, size))
 
@@ -143,12 +167,18 @@ def write_matrix(f: TextIO, matrix: np.ndarray) -> None:
     _write_rows(f, matrix)
 
 
-def read_matrix(f: TextIO) -> np.ndarray:
+def read_matrix(f: TextIO, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Parse a plain matrix file; malformed content raises ValueError.
+
+    The header needs an integer dim >= 1; dim over cap raises CapExceeded
+    before any matrix is allocated.
+    """
     lines = f.read().splitlines()
-    head = lines[0].split()
-    if head[:3] != [MAGIC, VERSION, "matrix"] or len(head) != 4:
-        raise ValueError(f"bad header: {lines[0]!r}")
-    dim = int(head[3])
+    (dim,) = _header_sizes(lines, "matrix", 1)
+    if dim < 1:
+        raise ValueError(f"bad header: {lines[0]!r} needs dim >= 1")
+    if dim > cap:
+        raise CapExceeded(f"matrix dimension {dim} exceeds cap {cap}")
     return _read_rows(lines[1:], dim, dim)
 
 

@@ -231,6 +231,26 @@ def block_layout(W: SchurTransform) -> list[tuple[Staircase, int, int, int]]:
     return out
 
 
+def block_fits(W: SchurTransform, M: np.ndarray, extract: str):
+    """Yield (gamma, slice, X, fit) for each label block of M = W A Wt.
+
+    With extract="irrep" the block is fitted as Id_mult (x) X over (path, GT)
+    indices, X the average of its diagonal path blocks; with extract="mult"
+    as X (x) Id_dim, X the partial trace over GT indices divided by dim.
+    fit is that block form, of the same shape as M[slice, slice].
+    """
+    for g, start, dg, mg in block_layout(W):
+        sl = slice(start, start + dg * mg)
+        cube = M[sl, sl].reshape(mg, dg, mg, dg)
+        if extract == "irrep":
+            X = np.einsum("pqpr->qr", cube) / mg
+            fit = np.einsum("pr,qs->pqrs", np.eye(mg), X)
+        else:
+            X = np.einsum("pqrq->pr", cube) / dg
+            fit = np.einsum("pr,qs->pqrs", X, np.eye(dg))
+        yield g, sl, X, fit.reshape(dg * mg, dg * mg)
+
+
 def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
                           extract: str) -> BlockDiagReport:
     """Shared core of the verification routines.
@@ -240,25 +260,13 @@ def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
     the report carries || M - expected ||_F, an upper bound on every entry of
     the deviation (unitary invariance of the Frobenius norm).
     """
-    layout = block_layout(W)
     blocks: dict[Staircase, np.ndarray] = {}
     if conjugated:
         M = M_or_Y
-        off_res = 0.0
         struct_res = 0.0
-        for g, start, dg, mg in layout:
-            sl = slice(start, start + dg * mg)
-            blk = M[sl, sl]
-            cube = blk.reshape(mg, dg, mg, dg)
-            if extract == "irrep":
-                Q = np.einsum("pqpr->qr", cube) / mg
-                expected = np.einsum("pr,qs->pqrs", np.eye(mg), Q).reshape(blk.shape)
-                blocks[g] = Q
-            else:
-                P = np.einsum("pqrq->pr", cube) / dg
-                expected = np.einsum("pr,qs->pqrs", P, np.eye(dg)).reshape(blk.shape)
-                blocks[g] = P
-            struct_res = max(struct_res, float(np.abs(blk - expected).max()))
+        for g, sl, X, expected in block_fits(W, M, extract):
+            blocks[g] = X
+            struct_res = max(struct_res, float(np.abs(M[sl, sl] - expected).max()))
             M[sl, sl] = 0.0
         off_res = float(np.abs(M).max())
         return BlockDiagReport(off_res, struct_res, blocks, exact=True)
@@ -271,7 +279,7 @@ def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
     Wm = W.matrix
     size = Wm.shape[0]
     total = 0.0
-    for g, start, dg, mg in layout:
+    for g, start, dg, mg in block_layout(W):
         sl = slice(start, start + dg * mg)
         Wb = np.ascontiguousarray(Wm[sl].reshape(mg, dg, size), dtype=complex)
         Yb = np.ascontiguousarray(Y[:, sl]).reshape(size, mg, dg)
@@ -409,24 +417,35 @@ def ptpqp_amplitude(n: int, m: int, d: int,
 
     The Hamiltonian must come out Hermitian (diagram terms closed under
     vertical flip with conjugate coefficients); otherwise this raises.
+
+    H lies in the walled Brauer algebra, so by mixed Schur-Weyl duality
+    W H Wt = (+)_gamma Id_dim(gamma) (x) P_gamma(H), and e^{-iHt} acts the
+    same way.  The amplitude is therefore 0 unless both labels share gamma
+    and the GT index q; otherwise it is an entry of exp(-it P_gamma(H)), the
+    m_gamma x m_gamma multiplicity block read from the rows (gamma, q, .) of
+    W against the sparse H.  No D x D dense matrix is formed.
     """
     W = build_mixed_schur(n, m, d, factor_order, cap=cap)
-    H = np.zeros((W.size, W.size), dtype=complex)
     perm = _leg_permutation(W.factor_order)
     P = _tensor_permutation_matrix(perm, d) if perm is not None else None
+    H = scipy.sparse.csr_matrix((W.size, W.size), dtype=complex)
     for coeff, sigma in hamiltonian:
-        A = brauer.represent(sigma, d, cap=cap).toarray().astype(complex)
+        A = brauer.represent(sigma, d, cap=cap).tocsr()
         if P is not None:
-            A = (P @ (P @ A.T).T)  # P A P^T without densifying P
-        H += coeff * A
-    herm_defect = float(np.abs(H - H.conj().T).max())
+            A = P @ A @ P.T
+        H = H + coeff * A
+    herm_defect = float(abs(H - H.conj().T).max())
     if herm_defect > 1e-12:
         raise ValueError(f"hamiltonian is not hermitian (defect {herm_defect:.2e}); "
                          "include the flipped diagram with the conjugate coefficient")
-    H = (H + H.conj().T) / 2
-    evals, evecs = np.linalg.eigh(H)
-    expH = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
-    r_from = W.row_index(*from_label)
-    r_to = W.row_index(*to_label)
-    amp = W.matrix[r_to] @ expH @ W.matrix[r_from].conj()
+    for label in (from_label, to_label):
+        W.row_index(*label)  # an unknown label raises ValueError
+    (g, q, p_from), (g_to, q_to, p_to) = from_label, to_label
+    if (tuple(g), q) != (tuple(g_to), q_to):
+        return 0.0
+    mult = next(mg for g_, _, mg in W.census() if g_ == tuple(g))
+    R = W.matrix[[W.row_index(g, q, p) for p in range(mult)]]
+    P_g = R @ (H @ R.T)
+    evals, v = np.linalg.eigh((P_g + P_g.conj().T) / 2)
+    amp = (v[p_to] * np.exp(-1j * t * evals)) @ v[p_from].conj()
     return float(abs(amp) ** 2)

@@ -211,3 +211,41 @@ def test_verify_malformed_file_is_one_line_error(tmp_path, capsys, edit):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("target", ["choi", "rho"])
+@pytest.mark.parametrize("edit", ["empty", "bad header", "entry without comma"])
+def test_channel_malformed_file_is_one_line_error(tmp_path, capsys, target, edit):
+    files = {"choi": tmp_path / "choi", "rho": tmp_path / "rho"}
+    run(capsys, "channel", "example", "--t", "0.05", "--u", "0.01", "--v", "0.0",
+        "--w", "0.0", "--out", str(files["choi"]))
+    with open(files["rho"], "w") as f:
+        mio.write_matrix(f, random_density(2, rng_from_seed(1)))
+    lines = files[target].read_text().splitlines()
+    if edit == "empty":
+        lines = []
+    elif edit == "bad header":
+        lines[0] = lines[0].replace("1", "one")
+    else:
+        lines[1] = lines[1].replace(",", "", 1)
+    files[target].write_text("".join(line + "\n" for line in lines))
+    for cmd in ("apply", "teleport"):
+        code, out, err = run(capsys, "channel", cmd, "--choi", str(files["choi"]),
+                             "--rho", str(files["rho"]))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_channel_cap_applies_to_files(tmp_path, capsys):
+    choi, rho = tmp_path / "choi", tmp_path / "rho"
+    run(capsys, "channel", "example", "--t", "0.05", "--u", "0.01", "--v", "0.0",
+        "--w", "0.0", "--out", str(choi))
+    with open(rho, "w") as f:
+        mio.write_matrix(f, random_density(2, rng_from_seed(1)))
+    code, _, err = run(capsys, "--cap", "4", "channel", "apply", "--choi", str(choi),
+                       "--rho", str(rho))
+    assert code == 1 and "exceeds cap" in err
+    code, _, _ = run(capsys, "--cap", "8", "channel", "apply", "--choi", str(choi),
+                     "--rho", str(rho))
+    assert code == 0

@@ -108,3 +108,69 @@ def test_schur_cap_checked_before_reading():
     with pytest.raises(CapExceeded):
         read_schur(io.StringIO(text), cap=8)
     assert read_schur(io.StringIO(text), cap=16).size == 16
+
+
+_CHOI = dumps(write_choi, example_channel(0.05, -0.02, 0.01, 0.03)).splitlines()
+_RHO = dumps(write_matrix, random_density(2, rng_from_seed(3))).splitlines()
+# (reader, file lines, pattern the error message must match)
+MALFORMED_CHANNEL_FILES = {
+    "choi empty file": (read_choi, [], "bad header"),
+    "choi non-integer size": (read_choi, ["mskit-matrix 1 choi 1 x 2"], "integer sizes"),
+    "choi missing size": (read_choi, ["mskit-matrix 1 choi 1 2"], "bad header"),
+    "choi negative n": (read_choi, ["mskit-matrix 1 choi 1 -2 2"], "n >= 0"),
+    "choi d = 0": (read_choi, ["mskit-matrix 1 choi 1 2 0"], "d >= 1"),
+    "choi over the cap": (read_choi, ["mskit-matrix 1 choi 40 40 3"], "exceeds cap"),
+    "choi entry without comma": (read_choi, _replaced(_CHOI, 1, _CHOI[1].replace(",", " ", 1)),
+                                 "expected 8 entries"),
+    "choi entry not a pair": (read_choi, _replaced(_CHOI, 2, "0.5" + _CHOI[2][_CHOI[2].index(" "):]),
+                              "re,im pair"),
+    "matrix empty file": (read_matrix, [], "bad header"),
+    "matrix non-integer dim": (read_matrix, ["mskit-matrix 1 matrix 2.5"], "integer sizes"),
+    "matrix dim = 0": (read_matrix, ["mskit-matrix 1 matrix 0"], "dim >= 1"),
+    "matrix over the cap": (read_matrix, ["mskit-matrix 1 matrix 99999999999"], "exceeds cap"),
+    "matrix entry not a pair": (read_matrix, _replaced(_RHO, 1, "1e0" + _RHO[1][_RHO[1].index(" "):]),
+                                "re,im pair"),
+    "matrix entry not a float": (read_matrix, _replaced(_RHO, 2, "a,b" + _RHO[2][_RHO[2].index(" "):]),
+                                 "re,im pair"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHANNEL_FILES))
+def test_malformed_choi_and_matrix_rejected(case):
+    reader, lines, match = MALFORMED_CHANNEL_FILES[case]
+    with pytest.raises(ValueError, match=match):
+        reader(io.StringIO("".join(line + "\n" for line in lines)))
+
+
+def test_choi_and_matrix_cap_checked_before_reading():
+    choi, rho = "\n".join(_CHOI) + "\n", "\n".join(_RHO) + "\n"
+    with pytest.raises(CapExceeded):
+        read_choi(io.StringIO(choi), cap=4)
+    with pytest.raises(CapExceeded):
+        read_matrix(io.StringIO(rho), cap=1)
+    assert read_choi(io.StringIO(choi), cap=8).size == 8
+    assert read_matrix(io.StringIO(rho), cap=2).shape == (2, 2)
+
+
+def entry_by_entry(matrix):
+    """The rows as first written: one numpy scalar per entry."""
+    return "".join(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) + "\n"
+                   for row in np.atleast_2d(matrix))
+
+
+def test_written_rows_match_entry_by_entry_formatting():
+    rng = rng_from_seed(12)
+    special = np.array([0.0, -0.0, 1.0, -1.5, 1e-310, 5e-324, 1e300, np.inf, -np.inf, np.nan])
+    grid = np.empty((10, 10), dtype=complex)
+    grid.real, grid.imag = special[:, None], special[None, ::-1]
+    cases = [
+        build_mixed_schur(2, 2, 3).matrix,  # real W
+        example_channel(0.05, -0.02, 0.01, 0.03).matrix,
+        rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)),
+        np.eye(3, dtype=np.int64),
+        np.arange(6, dtype=np.int32).reshape(2, 3),
+        grid,
+        special,  # one row
+    ]
+    for M in cases:
+        assert dumps(write_matrix, M).split("\n", 1)[1] == entry_by_entry(M)
