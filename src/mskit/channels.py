@@ -9,10 +9,18 @@ trace-preserving N, with partial trace over the output equal to Id / d^m.
 The channel acts by N(rho) = Tr_in[(d^m J) (rho^T (x) Id)].
 
 N is unitary-equivariant iff J commutes with conj(U)^{(x)m} (x) U^{(x)n} for
-every unitary U; in the Schur basis of that mixed tensor product (dual legs
-first) an equivariant J is block diagonal with blocks Id (x) X_gamma over
-(GT, path) indices.  twirl projects any Choi matrix onto that commutant,
-preserving complete positivity and the trace-preserving marginal.
+every unitary U.  is_equivariant decides this exactly from the Lie algebra:
+U(d) is connected, so commuting with the group is commuting with its
+generators, and the 2(d-1) Chevalley generators E_{i,i+1}, E_{i+1,i} act on
+J by index shifts on one leg at a time.
+
+In the Schur basis of that mixed tensor product (dual legs first) an
+equivariant J is block diagonal with blocks Id (x) X_gamma over (GT, path)
+indices.  twirl projects any Choi matrix onto that commutant, preserving
+complete positivity and the trace-preserving marginal.  The GT basis
+conserves weight, so W is block diagonal by weight sector, and twirl and
+choi_to_schur meet W only through weight sector products
+(schur.sector_matmul), never through a dense D x D product.
 
 teleport_apply simulates the measure-and-correct implementation of an
 equivariant channel with one input qudit: a Bell-type POVM built from the d^2
@@ -28,15 +36,20 @@ monomial operator, is a permutation of the output indices times a phase.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rand import haar_unitary, rng_from_seed
-from .schur import (SchurTransform, _structured_residuals, apply_legs,
-                    block_fits, build_mixed_schur, mixed_tensor_factors)
+from .rand import rng_from_seed
+from .schur import (SchurTransform, _structured_residuals, block_layout,
+                    build_mixed_schur, sector_matmul)
 from .staircase import Staircase
+
+# Entries of J in one row chunk of is_equivariant: 512 KB of complex data,
+# small enough to stay in cache while all 2(n+m) legs of a generator act.
+_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -100,18 +113,57 @@ def apply_direct(J: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
     return np.einsum("aibj,ab->ij", Jt, rho)
 
 
-def is_equivariant(J: ChoiMatrix, trials: int = 10, tol: float = 1e-10,
-                   seed: int = 11) -> tuple[bool, float]:
-    """Max commutator entry of J with the mixed tensor representation."""
-    rng = rng_from_seed(seed)
-    order = "-" * J.m_in + "+" * J.n_out
+def is_equivariant(J: ChoiMatrix, tol: float = 1e-10) -> tuple[bool, float]:
+    """(ok, worst): worst is the max commutator entry of J with the generators.
+
+    The mixed tensor representation conj(U)^{(x)m} (x) U^{(x)n} has the Lie
+    algebra action X -> sum over legs of X on a '+' leg and -X^T on a '-'
+    leg.  J commutes with every U(d) element iff it commutes with that action
+    of every X in gl(d), because U(d) is connected and exp of the action is
+    the representation.  The identity acts as the scalar n - m, and the
+    Chevalley generators E_{i,i+1}, E_{i+1,i} generate sl(d) under brackets,
+    whose action the commutant is closed under.  So the 2(d-1) commutators
+    computed here decide equivariance exactly, with no sampling.  Each
+    generator moves one index by one step on one leg at a time, applied by
+    slicing J as an array of 2(n+m) legs.
+    """
+    d, order = J.d, "-" * J.m_in + "+" * J.n_out
+    N, D = len(order), J.size
+    # Rows are taken in chunks that share their leading row digits, small
+    # enough to stay in cache while every leg passes over them; legs with a
+    # short stride are slow to slice across the whole matrix.
+    free = N
+    while free and d ** free * D > _CHUNK_ENTRIES:
+        free -= 1
+    lead = N - free
+    T = J.matrix.reshape((d,) * lead + (d ** free, D))
+    C = np.empty(T.shape[lead:], dtype=T.dtype)
     worst = 0.0
-    for _ in range(trials):
-        U = haar_unitary(J.d, rng)
-        factors = mixed_tensor_factors(U, order)
-        TJ = apply_legs(J.matrix, factors)
-        JT = apply_legs(J.matrix.conj().T, [f.conj().T for f in factors]).conj().T
-        worst = max(worst, float(np.abs(TJ - JT).max()))
+    for digits in itertools.product(range(d), repeat=lead):
+        for i in range(d - 1):
+            for a, b in ((i, i + 1), (i + 1, i)):  # the generator E_ab
+                C[:] = 0
+                for axis in range(2 * N):
+                    # E_ab J on row legs, -J E_ab on column legs; a '-' leg
+                    # carries -E_ab^T = -E_ba, which moves the index the other way
+                    if (order[axis % N] == "+") == (axis < N):
+                        src, dst, sign = b, a, 1
+                    else:
+                        src, dst, sign = a, b, -1
+                    if axis < lead:  # a digit fixed in this chunk
+                        if digits[axis] != dst:
+                            continue
+                        Cv = C
+                        Tv = T[digits[:axis] + (src,) + digits[axis + 1:]]
+                    else:
+                        shape = (d ** (axis - lead), d, -1)
+                        Cv = C.reshape(shape)[:, dst]
+                        Tv = T[digits].reshape(shape)[:, src]
+                    if sign > 0:
+                        Cv += Tv
+                    else:
+                        Cv -= Tv
+                worst = max(worst, float(np.abs(C).max()))
     return worst < tol, worst
 
 
@@ -131,27 +183,39 @@ def _check_transform(J: ChoiMatrix, W: SchurTransform) -> None:
 
 
 def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> SchurBlockReport:
-    """Blocks of W J Wt; small residuals certify equivariance of J.
+    """Blocks of W J W^dagger; small residuals certify equivariance of J.
 
     For an equivariant Choi matrix the conjugated matrix vanishes between
     staircase sectors and each sector is Id_{dim} (x) X_gamma over (GT, path)
-    indices; the X_gamma are returned.
+    indices; the X_gamma are returned.  W J W^dagger comes from two weight
+    sector products, (W (W J)^dagger)^dagger.
     """
     _check_transform(J, W)
-    rep = _structured_residuals(W, W.matrix @ J.matrix @ W.matrix.conj().T,
-                                True, "mult")
+    WJ = sector_matmul(W, J.matrix)
+    M = sector_matmul(W, WJ.conj().T).conj().T
+    rep = _structured_residuals(W, M, True, "mult")
     return SchurBlockReport(rep.off_block_residual, rep.structure_residual, rep.blocks)
 
 
 def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
-    """Project onto the equivariant commutant: keep Id (x) X per sector."""
+    """Project onto the equivariant commutant: keep Id (x) X per sector.
+
+    X_gamma[p, r] = sum_q (W J W^dagger)[(p, q), (r, q)] / dim(gamma) needs
+    only the rows of W J in the sector's label block against the same rows
+    of W, and the twirled matrix is W^dagger Z with Z = (X_gamma (x) Id) W on
+    each label block.  W J and W^dagger Z are weight sector products, so no
+    D x D product against W is formed.
+    """
     _check_transform(J, W)
-    M = W.matrix @ J.matrix @ W.matrix.conj().T
-    out = np.zeros_like(M)
-    for _, sl, _, fit in block_fits(W, M, "mult"):
-        out[sl, sl] = fit
+    WJ = sector_matmul(W, J.matrix)
+    Z = np.empty_like(WJ)
+    for _, start, dg, mg in block_layout(W):
+        sl = slice(start, start + dg * mg)
+        Wg = W.matrix[sl].reshape(mg, -1)  # row p holds the rows (p, q) for all q
+        X = WJ[sl].reshape(mg, -1) @ Wg.conj().T / dg
+        Z[sl] = (X @ Wg).reshape(dg * mg, -1)
     return ChoiMatrix(n_out=J.n_out, m_in=J.m_in, d=J.d,
-                      matrix=W.matrix.conj().T @ out @ W.matrix)
+                      matrix=sector_matmul(W, Z, adjoint=True))
 
 
 def random_cptp_choi(m_in: int, n_out: int, d: int, rng: np.random.Generator,
@@ -288,7 +352,7 @@ def teleport_apply(J: ChoiMatrix, rho: np.ndarray, rng_seed: int | None = None,
     """
     if J.m_in != 1:
         raise ValueError("teleportation implementation needs m_in = 1")
-    ok, resid = is_equivariant(J, trials=5, tol=equivariance_tol)
+    ok, resid = is_equivariant(J, tol=equivariance_tol)
     if not ok:
         raise ValueError(f"Choi matrix is not equivariant (residual {resid:.2e})")
     d = J.d

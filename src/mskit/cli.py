@@ -160,8 +160,12 @@ def cmd_cg(args) -> int:
 
 
 def _parse_label(text: str):
-    g, q, p = text.rsplit(":", 2)
-    return (parse_staircase(g), int(q), int(p))
+    try:
+        g, q, p = text.rsplit(":", 2)
+        return (parse_staircase(g), int(q), int(p))
+    except ValueError as exc:
+        raise ValueError(f"bad label {text!r}: expected [gamma]:q:p, "
+                         f"e.g. [1,0]:0:0 ({exc})") from None
 
 
 def cmd_ptpqp(args) -> int:

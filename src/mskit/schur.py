@@ -61,6 +61,10 @@ class SchurTransform:
     path_of: dict[tuple[Staircase, int], tuple[Staircase, ...]] = field(
         default=None, repr=False)
     _row_of: dict[tuple[Staircase, int, int], int] = field(default=None, repr=False)
+    # weight_sectors result, computed on first use; it depends on the labels
+    # and factor order only, never on the entries of matrix
+    _sectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._row_of is None:
@@ -84,13 +88,13 @@ class SchurTransform:
         return [(g, dim(g), mult[g]) for g in sorted(mult)]
 
     def unitarity_residual(self) -> float:
-        """Upper bound on max |W Wt - I|, exact when W conserves weight.
+        """Upper bound on max |W W^dagger - I|, exact when W conserves weight.
 
-        For every weight sector, max |B Bt - I| over its diagonal block B
+        For every weight sector, max |B B^dagger - I| over its diagonal block B
         (rows and columns of that weight) is computed exactly.  The entries E
         of each row outside its sector's columns add the Cauchy-Schwarz bound
         2 max_a ||B_a|| max_a ||E_a|| + max_a ||E_a||^2 (norms of row a of B
-        and of E), which covers every other contribution to W Wt.  For a
+        and of E), which covers every other contribution to W W^dagger.  For a
         correct W, E is exactly zero and the result is the true max entry.
         """
         W = self.matrix
@@ -101,7 +105,7 @@ class SchurTransform:
             in_k = col_sector == k
             B = W[np.ix_(rows, np.flatnonzero(in_k))]
             E = W[np.ix_(rows, np.flatnonzero(~in_k))]
-            exact = max(exact, float(np.abs(B @ B.T - np.eye(len(rows))).max()))
+            exact = max(exact, float(np.abs(B @ B.conj().T - np.eye(len(rows))).max()))
             b_max = max(b_max, float(np.linalg.norm(B, axis=1).max()))
             e_max = max(e_max, float(np.linalg.norm(E, axis=1).max()))
         return exact + 2 * b_max * e_max + e_max ** 2
@@ -193,7 +197,9 @@ def apply_legs(X: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     rows = int(np.prod([f.shape[0] for f in factors]))
     groups = _factor_groups(factors, target=max(16, int(np.sqrt(rows))))
     ncols = X.shape[1]
-    Y = X.astype(complex, copy=True).reshape(rows * ncols)
+    # one C-ordered copy: astype keeps the layout of a transposed X, and the
+    # reshape would then copy it a second time
+    Y = np.array(X, dtype=complex, order="C").reshape(rows * ncols)
     buf = np.empty_like(Y)
     lead = 1
     for g in groups:
@@ -232,7 +238,7 @@ def block_layout(W: SchurTransform) -> list[tuple[Staircase, int, int, int]]:
 
 
 def block_fits(W: SchurTransform, M: np.ndarray, extract: str):
-    """Yield (gamma, slice, X, fit) for each label block of M = W A Wt.
+    """Yield (gamma, slice, X, fit) for each label block of M = W A W^dagger.
 
     With extract="irrep" the block is fitted as Id_mult (x) X over (path, GT)
     indices, X the average of its diagonal path blocks; with extract="mult"
@@ -255,10 +261,11 @@ def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
                           extract: str) -> BlockDiagReport:
     """Shared core of the verification routines.
 
-    With conjugated=True, M_or_Y is the dense conjugated matrix M = W A Wt and
-    exact max-entry residuals are reported.  Otherwise M_or_Y is Y = A Wt and
-    the report carries || M - expected ||_F, an upper bound on every entry of
-    the deviation (unitary invariance of the Frobenius norm).
+    With conjugated=True, M_or_Y is the dense conjugated matrix
+    M = W A W^dagger and exact max-entry residuals are reported.  Otherwise
+    M_or_Y is Y = A W^dagger and the report carries || M - expected ||_F, an
+    upper bound on every entry of the deviation (unitary invariance of the
+    Frobenius norm).
     """
     blocks: dict[Staircase, np.ndarray] = {}
     if conjugated:
@@ -271,13 +278,15 @@ def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
         off_res = float(np.abs(M).max())
         return BlockDiagReport(off_res, struct_res, blocks, exact=True)
 
-    # Frobenius path: || M - expected ||_F == || Y - Wt expected ||_F,
+    # Frobenius path: || M - expected ||_F == || Y - W^dagger expected ||_F,
     # accumulated per label-column block without forming M or Z densely.
     # The block averages enter through thin contractions only, so the cost
     # per block is m * d^2 * size instead of (m * d)^2 * size.
     Y = M_or_Y  # A @ W.conj().T, shape (size, size)
     Wm = W.matrix
     size = Wm.shape[0]
+    # W^dagger holds conj(W); a real W is its own conjugate and is not copied
+    conj = np.conj if np.iscomplexobj(Wm) else (lambda a: a)
     total = 0.0
     for g, start, dg, mg in block_layout(W):
         sl = slice(start, start + dg * mg)
@@ -286,12 +295,12 @@ def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
         if extract == "irrep":
             Ybt = Yb.transpose(1, 0, 2)  # strided batch view (p, k, r)
             Q = np.matmul(Wb, Ybt).sum(axis=0) / mg
-            resid = np.matmul(Wb.transpose(0, 2, 1), Q[None])  # (p, k, r)
+            resid = np.matmul(conj(Wb).transpose(0, 2, 1), Q[None])  # (p, k, r)
             resid -= Ybt
             blocks[g] = Q
         else:
             P = np.einsum("pqk,ksq->ps", Wb, Yb, optimize=True) / dg
-            resid = np.einsum("pqk,ps->ksq", Wb, P, optimize=True)
+            resid = np.einsum("pqk,ps->ksq", conj(Wb), P, optimize=True)
             resid -= Yb
             blocks[g] = P
         total += float(np.vdot(resid, resid).real)
@@ -301,17 +310,17 @@ def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
 
 def verify_blockdiag(W: SchurTransform, U: np.ndarray,
                      method: str = "auto") -> BlockDiagReport:
-    """Residuals of W (mixed tensor of U) Wt against the Q (x) Id block form."""
+    """Residuals of W (mixed tensor of U) W^dagger against the Q (x) Id block form."""
     factors = mixed_tensor_factors(np.asarray(U, dtype=complex), W.factor_order)
-    Y = apply_legs(W.matrix.T, factors)  # W real: Wt == W dagger
+    Y = apply_legs(W.matrix.conj().T, factors)
     if method == "exact" or (method == "auto" and W.size <= DENSE_VERIFY_CUTOFF):
-        return _structured_residuals(W, W.matrix @ Y, True, "irrep")
+        return _structured_residuals(W, sector_matmul(W, Y), True, "irrep")
     return _structured_residuals(W, Y, False, "irrep")
 
 
 def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram,
                   method: str = "auto") -> BlockDiagReport:
-    """Residuals of W psi(sigma) Wt against the Id (x) P block form.
+    """Residuals of W psi(sigma) W^dagger against the Id (x) P block form.
 
     The diagram action is taken in the same leg order as W.factor_order: the
     diagram's first n columns act on the '+' legs left to right, the last m
@@ -324,9 +333,9 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram,
     if perm is not None:
         P = _tensor_permutation_matrix(perm, W.d)
         A = P @ A @ P.T
-    Y = A @ W.matrix.T
+    Y = A @ W.matrix.conj().T
     if method == "exact" or (method == "auto" and W.size <= DENSE_VERIFY_CUTOFF):
-        return _structured_residuals(W, W.matrix @ Y, True, "mult")
+        return _structured_residuals(W, sector_matmul(W, Y), True, "mult")
     return _structured_residuals(W, Y, False, "mult")
 
 
@@ -360,7 +369,10 @@ def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarra
     weights of the weight of row a's GT pattern, and col_sector[c] that of
     basis state c, which gains +e_i for value i on a '+' leg and -e_i on a
     '-' leg.  A correct W is zero wherever row_sector[a] != col_sector[c].
+    The arrays are computed once per transform and are read-only.
     """
+    if W._sectors is not None:
+        return W._sectors
     patterns = {g: [pattern_weight(pat) for pat in enumerate_patterns(g)]
                 for g in {g for g, _, _ in W.basis}}
     row_w = np.array([patterns[g][q] for g, q, _ in W.basis], dtype=np.int64)
@@ -372,7 +384,52 @@ def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarra
         col_w[cols, (cols // reps) % W.d] += 1 if kind == "+" else -1
     weights, sector = np.unique(np.vstack([row_w, col_w]), axis=0, return_inverse=True)
     sector = sector.reshape(-1)
-    return weights, sector[:W.size], sector[W.size:]
+    W._sectors = (weights, sector[:W.size].copy(), sector[W.size:].copy())
+    for a in W._sectors:
+        a.setflags(write=False)
+    return W._sectors
+
+
+def sector_matmul(W: SchurTransform, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """W.matrix @ X, or W.matrix^dagger @ X with adjoint=True, by weight sector.
+
+    Each sector k contributes its dense block W[rows_k, cols_k] against the
+    matching rows of X; a real block meets a complex X through the float
+    view of X, so the GEMM stays real.  Entries of W outside their sector,
+    zero for a built transform, enter through one sparse product, so the
+    result equals the dense product for any W.  The cost is the sum of
+    |rows_k| |cols_k| over sectors per column of X, not D^2.
+    """
+    Wm = W.matrix
+    weights, row_sector, col_sector = weight_sectors(W)
+    X = np.ascontiguousarray(X)
+    shape = X.shape
+    X = X.reshape(shape[0], -1)
+    out = np.zeros((Wm.shape[1] if adjoint else Wm.shape[0], X.shape[1]),
+                   dtype=np.result_type(Wm, X))
+    Xv, outv = X, out
+    if not np.iscomplexobj(Wm) and np.iscomplexobj(X):
+        Xv, outv = X.view(float), out.view(float)
+    rows_of, cols_of = (np.split(np.argsort(s, kind="stable"),
+                                 np.cumsum(np.bincount(s, minlength=len(weights)))[:-1])
+                        for s in (row_sector, col_sector))
+    in_sector = 0
+    for rows, cols in zip(rows_of, cols_of):
+        B = Wm[np.ix_(rows, cols)]
+        in_sector += np.count_nonzero(B)
+        if adjoint:
+            outv[cols] = B.conj().T @ Xv[rows]
+        else:
+            outv[rows] = B @ Xv[cols]
+    # counting is cheaper than locating: scan for off-sector entries only
+    # when there are some
+    if np.count_nonzero(Wm) > in_sector:
+        r, c = np.nonzero(Wm)
+        off = row_sector[r] != col_sector[c]
+        r, c = r[off], c[off]
+        E = scipy.sparse.csr_matrix((Wm[r, c], (r, c)), shape=Wm.shape)
+        out += (E.conj().T if adjoint else E) @ X
+    return out.reshape((out.shape[0],) + shape[1:])
 
 
 def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:

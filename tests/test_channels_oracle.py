@@ -2,19 +2,29 @@
 
 The oracles are the definitions as first written: teleportation branches
 contracted from the joint state rho (x) J with the POVM vector of each Weyl
-outcome and corrected by the kron of d^n x d^n Weyl operators, and the
-random Stinespring channel's Choi matrix evaluated on matrix units.  They
-share no code with mskit.channels beyond weyl_operator and choi_of_map.
+outcome and corrected by the kron of d^n x d^n Weyl operators, the random
+Stinespring channel's Choi matrix evaluated on matrix units, twirl and
+choi_to_schur from the dense product W J W^dagger, and the equivariance test
+as commutators with Haar-random mixed tensor operators.  They share no code
+with mskit.channels beyond weyl_operator and choi_of_map, and with the
+weight-sector products of mskit.schur only the block extraction.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from mskit.channels import (_teleport_branches, choi_of_map, is_equivariant,
+from mskit.channels import (ChoiMatrix, _teleport_branches, choi_of_map,
+                            choi_to_schur, example_channel, is_equivariant,
                             random_cptp_choi, random_equivariant_choi,
-                            teleport_apply, weyl_operator)
-from mskit.rand import random_density, rng_from_seed
-from mskit.schur import build_mixed_schur
+                            teleport_apply, twirl, weyl_operator)
+from mskit.rand import haar_unitary, random_density, rng_from_seed
+from mskit.schur import (_structured_residuals, block_fits, build_mixed_schur,
+                         sector_matmul, weight_sectors)
+
+from test_schur import block_phased
+from test_schur_oracle import off_weight_copy
 
 EPS = np.finfo(float).eps
 
@@ -127,3 +137,173 @@ def test_random_cptp_choi_matches_stinespring_map(m_in, n_out, d, rank):
     assert np.abs(J.matrix - want.matrix).max() < 16 * EPS
     assert J.trace_preserving_residual() < 1e-13
     assert J.min_eigenvalue() > -1e-13
+
+
+# -- weight-sector products against the dense formulas --------------------------
+
+def dense_choi_to_schur(J, W):
+    M = W.matrix @ J.matrix @ W.matrix.conj().T
+    return _structured_residuals(W, M, True, "mult")
+
+
+def dense_twirl(J, W):
+    M = W.matrix @ J.matrix @ W.matrix.conj().T
+    out = np.zeros_like(M)
+    for _, sl, _, fit in block_fits(W, M, "mult"):
+        out[sl, sl] = fit
+    return W.matrix.conj().T @ out @ W.matrix
+
+
+def haar_is_equivariant(J, trials=10, tol=1e-10, seed=11):
+    """Max entry of [T, J] over Haar-random T = conj(U)^(x)m (x) U^(x)n."""
+    rng = rng_from_seed(seed)
+    worst = 0.0
+    for _ in range(trials):
+        U = haar_unitary(J.d, rng)
+        T = np.ones((1, 1))
+        for kind in "-" * J.m_in + "+" * J.n_out:
+            T = np.kron(T, U.conj() if kind == "-" else U)
+        worst = max(worst, float(np.abs(T @ J.matrix - J.matrix @ T).max()))
+    return worst < tol, worst
+
+
+# orders -+, -++ and -+++ with D = d^(n_out + 1) <= 1024
+CHOI_SHAPES = [(1, 2), (1, 5), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("n,d", CHOI_SHAPES)
+def test_choi_to_schur_and_twirl_match_dense(n, d):
+    rng = rng_from_seed(80 + 10 * n + d)
+    W = build_mixed_schur(n, 1, d, "-" + "+" * n)
+    J = random_cptp_choi(1, n, d, rng)
+    twirled = twirl(J, W)
+    assert np.abs(twirled.matrix - dense_twirl(J, W)).max() < 1e-12
+    for Jx in (J, twirled):
+        rep, want = choi_to_schur(Jx, W), dense_choi_to_schur(Jx, W)
+        assert abs(rep.off_block_residual - want.off_block_residual) < 1e-12
+        assert abs(rep.structure_residual - want.structure_residual) < 1e-12
+        assert rep.multiplicity_blocks.keys() == want.blocks.keys()
+        for g, X in want.blocks.items():
+            assert np.abs(rep.multiplicity_blocks[g] - X).max() < 1e-12
+    # a raw random channel is far from the commutant, its twirl is in it
+    assert dense_choi_to_schur(J, W).off_block_residual > 1e-4
+    assert dense_choi_to_schur(twirled, W).off_block_residual < 1e-12
+    # a complex W with one phase per (gamma, p) block spans the same commutant
+    V = block_phased(W, 80 + n + d)
+    assert np.abs(twirl(J, V).matrix - dense_twirl(J, V)).max() < 1e-12
+    assert np.abs(twirl(J, V).matrix - twirled.matrix).max() < 1e-12
+    rep, want = choi_to_schur(J, V), dense_choi_to_schur(J, V)
+    assert abs(rep.off_block_residual - want.off_block_residual) < 1e-12
+    assert abs(rep.structure_residual - want.structure_residual) < 1e-12
+    for g, X in want.blocks.items():
+        assert np.abs(rep.multiplicity_blocks[g] - X).max() < 1e-12
+
+
+SECTOR_SHAPES = [(1, 1, 2, "-+"), (2, 1, 2, "-++"), (2, 2, 3, "+--+"),
+                 (3, 1, 4, "-+++"), (3, 2, 4, "+-+-+"), (5, 5, 2, None)]
+
+
+def phased(W, phases):
+    """W with row a multiplied by phases[a]: complex, same weight sectors."""
+    return dataclasses.replace(W, matrix=phases[:, None] * W.matrix)
+
+
+@pytest.mark.parametrize("shape", SECTOR_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_sector_matmul_matches_dense(shape):
+    n, m, d, order = shape
+    W = build_mixed_schur(n, m, d, order)
+    rng = rng_from_seed(90 + W.size)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, W.size))
+    variants = {"built": W, "off-sector entry": off_weight_copy(W, 3),
+                "complex": phased(W, phases),
+                "complex, off-sector entry": off_weight_copy(phased(W, phases), 5)}
+    X_real = rng.standard_normal((W.size, 7))
+    X_complex = X_real + 1j * rng.standard_normal((W.size, 7))
+    for name, V in variants.items():
+        for X in (X_real, X_complex, X_complex[:, 0]):
+            got, want = sector_matmul(V, X), V.matrix @ X
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() < 1e-13, name
+            got = sector_matmul(V, X, adjoint=True)
+            assert np.abs(got - V.matrix.conj().T @ X).max() < 1e-13, name
+
+
+def test_weight_sectors_computed_once_and_read_only():
+    W = build_mixed_schur(2, 1, 3, "-++")
+    first = weight_sectors(W)
+    assert weight_sectors(W) is first
+    for a in first:
+        assert not a.flags.writeable
+    # a copy with other entries keeps the labels, so its sectors are equal,
+    # but it computes them for itself
+    V = off_weight_copy(W, 0)
+    assert V._sectors is None
+    assert all(np.array_equal(a, b) for a, b in zip(weight_sectors(V), first))
+
+
+# -- the generator test of is_equivariant against Haar commutators ----------------
+
+def block_dephasing_map(rho, d, split):
+    """P rho P + Q rho Q for P the projector on levels < split: it commutes
+    with U(split) x U(d - split), not with U(d)."""
+    P = np.diag((np.arange(d) < split).astype(float))
+    Q = np.eye(d) - P
+    return P @ rho @ P + Q @ rho @ Q
+
+
+def block_dephasing_choi(d, split):
+    return choi_of_map(lambda rho: block_dephasing_map(rho, d, split), 1, 1, d)
+
+
+def lie_action_choi(d, a, b):
+    """The action of E_ab on the '-+' legs as a (non-Hermitian) Choi matrix.
+    E_1d commutes with every raising generator and with no lowering one."""
+    E = np.zeros((d, d))
+    E[a, b] = 1.0
+    return ChoiMatrix(n_out=1, m_in=1, d=d,
+                      matrix=np.kron(-E.T, np.eye(d)) + np.kron(np.eye(d), E))
+
+
+def suite_choi_matrices():
+    """(name, Choi matrix): the channels the suite builds, equivariant or not."""
+    rng = rng_from_seed(12)
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    out = [(f"identity d={d}", choi_of_map(lambda rho: rho, 1, 1, d)) for d in (2, 3)]
+    for m, n, d in [(1, 1, 3), (1, 2, 2), (2, 1, 2)]:
+        dout = d ** n
+        out.append((f"depolarizing {m}{n}{d}", choi_of_map(
+            lambda rho, dout=dout: np.trace(rho) * np.eye(dout) / dout, m, n, d)))
+    out.append(("X conjugation", choi_of_map(lambda rho: X @ rho @ X, 1, 1, 2)))
+    out.append(("X conjugation (x) mixed", choi_of_map(
+        lambda rho: np.kron(X @ rho @ X, np.trace(rho) * np.eye(2) / 2), 1, 2, 2)))
+    for k in range(2):
+        out.append((f"example {k}", example_channel(*(0.1 * rng.standard_normal(4)))))
+    for m, n, d in [(1, 1, 2), (1, 2, 2), (2, 1, 2), (1, 1, 3), (1, 2, 3), (1, 1, 4)]:
+        out.append((f"random {m}{n}{d}", random_cptp_choi(m, n, d, rng)))
+        W = build_mixed_schur(n, m, d, "-" * m + "+" * n)
+        out.append((f"twirled {m}{n}{d}", random_equivariant_choi(m, n, d, rng, W)))
+    # D = 243 and 256 split the rows of J into chunks in is_equivariant
+    for m, n, d in [(1, 4, 3), (1, 3, 4)]:
+        out.append((f"random {m}{n}{d}", random_cptp_choi(m, n, d, rng, kraus_rank=2)))
+        out.append((f"twirled {m}{n}{d}", twirl(out[-1][1], build_mixed_schur(
+            n, m, d, "-" * m + "+" * n))))
+    out.append(("block dephasing (x) mixed d=3", choi_of_map(
+        lambda rho: np.kron(block_dephasing_map(rho, 3, 2), np.trace(rho) * np.eye(27) / 27),
+        1, 4, 3)))
+    for d in (2, 3, 4):
+        out += [(f"block dephasing d={d} split={s}", block_dephasing_choi(d, s))
+                for s in range(1, d)]
+        out += [(f"E_1{d} action", lie_action_choi(d, 0, d - 1)),
+                (f"E_{d}1 action", lie_action_choi(d, d - 1, 0))]
+    return out
+
+
+@pytest.mark.parametrize("J", [pytest.param(J, id=name) for name, J in suite_choi_matrices()])
+def test_is_equivariant_agrees_with_haar_commutators(J):
+    ok, worst = is_equivariant(J)
+    want_ok, want_worst = haar_is_equivariant(J)
+    assert ok == want_ok
+    if want_ok:
+        assert worst < 1e-12
+    else:
+        assert worst > 1e-3 and want_worst > 1e-3

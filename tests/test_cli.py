@@ -249,3 +249,38 @@ def test_channel_cap_applies_to_files(tmp_path, capsys):
     code, _, _ = run(capsys, "--cap", "8", "channel", "apply", "--choi", str(choi),
                      "--rho", str(rho))
     assert code == 0
+
+
+@pytest.mark.parametrize("label", ["x", "[1,-1]:a:0"])
+def test_ptpqp_bad_label_is_one_line_error(capsys, label):
+    code, out, err = run(capsys, "ptpqp", "1", "1", "2",
+                         "--term", "0.7:t1-b1,t2-b2", "--time", "1.3",
+                         "--from", label, "--to", "[1,-1]:0:0")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert repr(label) in err and "[gamma]:q:p" in err
+
+
+def test_verify_file_with_complex_phases(tmp_path, capsys):
+    # each (gamma, p) block times its own phase is still a Schur transform;
+    # a phase that varies with q inside one block is not
+    f = tmp_path / "w"
+    run(capsys, "schur", "2", "1", "2", "--out", str(f))
+    W = mio.read_schur(io.StringIO(f.read_text()))
+    rng = rng_from_seed(35)
+    theta = {}
+    phases = np.array([np.exp(1j * theta.setdefault((g, p), rng.uniform(-np.pi, np.pi)))
+                       for g, _, p in W.basis])
+    W.matrix = phases[:, None] * W.matrix
+    f.write_text(mio.dumps(mio.write_schur, W))
+    code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "5")
+    assert code == 0, out
+    assert "FAIL" not in out
+    W.matrix[W.row_index((1, 0), 1, 0)] *= np.exp(0.7j)
+    f.write_text(mio.dumps(mio.write_schur, W))
+    code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "5")
+    assert code == 1
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["unitarity"].endswith(" ok")
+    assert lines["multiplicity structure"].endswith(" FAIL")

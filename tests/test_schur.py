@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -272,3 +273,44 @@ def test_frobenius_bound_path_consistent():
     assert bound.off_block_residual < 1e-11
     for g in exact.blocks:
         assert np.abs(exact.blocks[g] - bound.blocks[g]).max() < 1e-12
+
+
+def block_phased(W, seed, per="gamma, p"):
+    """W with each (gamma, p) label block, or each (gamma, q) set of rows,
+    times its own phase: still a mixed Schur transform, now complex, with
+    W W^dagger = I.  Conjugating with W^T instead of W^dagger squares the
+    phases, which the Q (x) Id form shows in the first case and the
+    Id (x) P form in the second."""
+    rng = rng_from_seed(seed)
+    theta = {}
+    key = (lambda g, q, p: (g, p)) if per == "gamma, p" else (lambda g, q, p: (g, q))
+    phases = np.array([np.exp(1j * theta.setdefault(key(*lab), rng.uniform(-np.pi, np.pi)))
+                       for lab in W.basis])
+    return dataclasses.replace(W, matrix=phases[:, None] * W.matrix)
+
+
+@pytest.mark.parametrize("per", ["gamma, p", "gamma, q"])
+@pytest.mark.parametrize("n,m,d", [(2, 1, 2), (1, 2, 3), (2, 2, 2)])
+def test_complex_transform_is_verified_with_its_adjoint(n, m, d, per):
+    V = block_phased(build_mixed_schur(n, m, d), 31, per)
+    assert np.iscomplexobj(V.matrix)
+    assert V.unitarity_residual() < 1e-14
+    assert weight_check(V) == 0.0
+    U = haar_unitary(d, rng_from_seed(32))
+    for method in ("exact", "bound"):
+        rep = verify_blockdiag(V, U, method=method)
+        assert max(rep.off_block_residual, rep.structure_residual) < 1e-12
+        for sigma in brauer.all_diagrams(n, m):
+            rep = verify_brauer(V, sigma, method=method)
+            assert max(rep.off_block_residual, rep.structure_residual) < 1e-12
+
+
+def test_phase_varying_inside_a_block_fails_verification():
+    V = block_phased(build_mixed_schur(2, 1, 2), 33)
+    bad = V.matrix.copy()
+    bad[V.row_index((1, 0), 1, 0)] *= np.exp(0.7j)  # only q = 1 of ((1,0), p=0)
+    B = dataclasses.replace(V, matrix=bad)
+    assert B.unitarity_residual() < 1e-14  # still unitary
+    U = haar_unitary(2, rng_from_seed(34))
+    for method in ("exact", "bound"):
+        assert verify_blockdiag(B, U, method=method).structure_residual > 1e-3
