@@ -180,7 +180,8 @@ def compose(s1: WalledBrauerDiagram, s2: WalledBrauerDiagram) -> tuple[WalledBra
     return WalledBrauerDiagram(s1.n, s1.m, tuple(pairing)), loops
 
 
-def represent(sigma: WalledBrauerDiagram, d: int, cap: int = 4096) -> sp.coo_matrix:
+def represent(sigma: WalledBrauerDiagram, d: int, cap: int = 4096,
+              order: str | None = None) -> sp.coo_matrix:
     """Sparse 0/1 matrix of the diagram action on (C^d)^{tensor (n+m)}.
 
     Entry (j, i) is the product of Kronecker deltas over connected node pairs,
@@ -188,14 +189,26 @@ def represent(sigma: WalledBrauerDiagram, d: int, cap: int = 4096) -> sp.coo_mat
     the N pairs carries one free value, so the d^N nonzeros are enumerated by
     the value tuples: a pair adds value * stride of each top node to the
     column index and of each bottom node to the row index.  Pairs are taken
-    in order of their first node, so the entries come out column by column
-    as the top-node digits count up.
+    in order of their first node, so with the default order the entries come
+    out column by column as the top-node digits count up.
+
+    order is a factor order with n '+' and m '-' legs, as for the mixed Schur
+    transform: diagram column k then acts on the k-th '+' leg for k < n and
+    on the (k - n)-th '-' leg otherwise, which only permutes the strides.
+    The default, all '+' then all '-', keeps columns and legs in one order.
     """
     N = sigma.size
     dim = d ** N
     if dim > cap:
         raise ValueError(f"d^(n+m) = {dim} exceeds cap {cap}")
-    strides = [d ** (N - 1 - k) for k in range(N)]
+    legs = list(range(N))
+    if order is not None:
+        if sorted(order) != sorted("+" * sigma.n + "-" * sigma.m):
+            raise ValueError(f"factor order {order!r} must contain {sigma.n} '+' "
+                             f"and {sigma.m} '-'")
+        legs = ([k for k, c in enumerate(order) if c == "+"]
+                + [k for k, c in enumerate(order) if c == "-"])
+    strides = [d ** (N - 1 - leg) for leg in legs]
     col_w, row_w = np.zeros(N, dtype=np.int64), np.zeros(N, dtype=np.int64)
     pairs = [(x, y) for x, y in enumerate(sigma.pairing) if x < y]
     for k, pair in enumerate(pairs):

@@ -19,8 +19,8 @@ equivariant J is block diagonal with blocks Id (x) X_gamma over (GT, path)
 indices.  twirl projects any Choi matrix onto that commutant, preserving
 complete positivity and the trace-preserving marginal.  The GT basis
 conserves weight, so W is block diagonal by weight sector, and twirl and
-choi_to_schur meet W only through weight sector products
-(schur.sector_matmul), never through a dense D x D product.
+choi_to_schur meet W only through weight sector products, never through a
+dense D x D product.
 
 teleport_apply simulates the measure-and-correct implementation of an
 equivariant channel with one input qudit: a Bell-type POVM built from the d^2
@@ -42,9 +42,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bratteli import DEFAULT_CAP
 from .rand import rng_from_seed
-from .schur import (SchurTransform, _structured_residuals, block_layout,
-                    build_mixed_schur, sector_matmul)
+from .schur import (SchurTransform, _SectorSplit, _structured_residuals,
+                    block_layout, build_mixed_schur)
 from .staircase import Staircase
 
 # Entries of J in one row chunk of is_equivariant: 512 KB of complex data,
@@ -69,7 +70,7 @@ class ChoiMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def schur_transform(self, cap: int = 1 << 20) -> SchurTransform:
+    def schur_transform(self, cap: int = DEFAULT_CAP) -> SchurTransform:
         """Transform matching the Choi register order: m dual legs, then n defining."""
         return build_mixed_schur(self.n_out, self.m_in, self.d,
                                  "-" * self.m_in + "+" * self.n_out, cap=cap)
@@ -187,13 +188,16 @@ def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> SchurBlockReport:
 
     For an equivariant Choi matrix the conjugated matrix vanishes between
     staircase sectors and each sector is Id_{dim} (x) X_gamma over (GT, path)
-    indices; the X_gamma are returned.  W J W^dagger comes from two weight
-    sector products, (W (W J)^dagger)^dagger.
+    indices; the X_gamma are returned.  With K = W J^dagger, one weight
+    sector product, the column block of W J W^dagger on the label block sl
+    is W K[sl]^dagger, another, so W J W^dagger is never held whole.
     """
     _check_transform(J, W)
-    WJ = sector_matmul(W, J.matrix)
-    M = sector_matmul(W, WJ.conj().T).conj().T
-    rep = _structured_residuals(W, M, True, "mult")
+    split = _SectorSplit(W)
+    # np.conjugate with order="C" transposes and conjugates in one pass
+    K = split.matmul(np.conjugate(J.matrix.T, order="C"))
+    rep = _structured_residuals(
+        W, lambda sl: split.matmul(np.conjugate(K[sl].T, order="C")), "mult")
     return SchurBlockReport(rep.off_block_residual, rep.structure_residual, rep.blocks)
 
 
@@ -207,7 +211,8 @@ def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
     D x D product against W is formed.
     """
     _check_transform(J, W)
-    WJ = sector_matmul(W, J.matrix)
+    split = _SectorSplit(W)
+    WJ = split.matmul(J.matrix)
     Z = np.empty_like(WJ)
     for _, start, dg, mg in block_layout(W):
         sl = slice(start, start + dg * mg)
@@ -215,7 +220,7 @@ def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
         X = WJ[sl].reshape(mg, -1) @ Wg.conj().T / dg
         Z[sl] = (X @ Wg).reshape(dg * mg, -1)
     return ChoiMatrix(n_out=J.n_out, m_in=J.m_in, d=J.d,
-                      matrix=sector_matmul(W, Z, adjoint=True))
+                      matrix=split.matmul(Z, adjoint=True))
 
 
 def random_cptp_choi(m_in: int, n_out: int, d: int, rng: np.random.Generator,

@@ -21,9 +21,9 @@ Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
 Q(U) (x) Id over (GT, path) indices; conjugating a walled-Brauer-diagram
 operator must produce Id (x) P(diagram) blocks.  The verify_* functions
-measure deviations from this structure; for dimensions beyond
-DENSE_VERIFY_CUTOFF they return a Frobenius-norm upper bound on the same
-max-entry residuals instead of forming the full conjugated matrix.
+measure the largest entry that departs from this structure, at every size:
+M = W A W^dagger is formed one label column block M[:, block] at a time, so
+no D x D complex matrix is held.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from .bratteli import DEFAULT_CAP, CapExceeded
 from .cg import cg_transform
 from .gelfand import enumerate_patterns, pattern_weight
 from .staircase import Staircase, dim
-
-DENSE_VERIFY_CUTOFF = 1024
-
 
 def parse_factor_order(order: str, n: int, m: int) -> str:
     order = order.replace("−", "-")  # tolerate unicode minus
@@ -223,7 +220,6 @@ class BlockDiagReport:
     off_block_residual: float
     structure_residual: float
     blocks: dict[Staircase, np.ndarray]
-    exact: bool  # False when residuals are Frobenius upper bounds
 
 
 def block_layout(W: SchurTransform) -> list[tuple[Staircase, int, int, int]]:
@@ -237,6 +233,18 @@ def block_layout(W: SchurTransform) -> list[tuple[Staircase, int, int, int]]:
     return out
 
 
+def _fit_block(B: np.ndarray, dg: int, mg: int, extract: str):
+    """(X, fit) for one diagonal label block B, see block_fits."""
+    cube = B.reshape(mg, dg, mg, dg)
+    if extract == "irrep":
+        X = np.einsum("pqpr->qr", cube) / mg
+        fit = np.einsum("pr,qs->pqrs", np.eye(mg), X)
+    else:
+        X = np.einsum("pqrq->pr", cube) / dg
+        fit = np.einsum("pr,qs->pqrs", X, np.eye(dg))
+    return X, fit.reshape(dg * mg, dg * mg)
+
+
 def block_fits(W: SchurTransform, M: np.ndarray, extract: str):
     """Yield (gamma, slice, X, fit) for each label block of M = W A W^dagger.
 
@@ -247,79 +255,44 @@ def block_fits(W: SchurTransform, M: np.ndarray, extract: str):
     """
     for g, start, dg, mg in block_layout(W):
         sl = slice(start, start + dg * mg)
-        cube = M[sl, sl].reshape(mg, dg, mg, dg)
-        if extract == "irrep":
-            X = np.einsum("pqpr->qr", cube) / mg
-            fit = np.einsum("pr,qs->pqrs", np.eye(mg), X)
-        else:
-            X = np.einsum("pqrq->pr", cube) / dg
-            fit = np.einsum("pr,qs->pqrs", X, np.eye(dg))
-        yield g, sl, X, fit.reshape(dg * mg, dg * mg)
+        yield (g, sl) + _fit_block(M[sl, sl], dg, mg, extract)
 
 
-def _structured_residuals(W: SchurTransform, M_or_Y, conjugated: bool,
-                          extract: str) -> BlockDiagReport:
-    """Shared core of the verification routines.
+def _structured_residuals(W: SchurTransform, column_block, extract: str) -> BlockDiagReport:
+    """Exact max-entry residuals of M = W A W^dagger against its block form.
 
-    With conjugated=True, M_or_Y is the dense conjugated matrix
-    M = W A W^dagger and exact max-entry residuals are reported.  Otherwise
-    M_or_Y is Y = A W^dagger and the report carries || M - expected ||_F, an
-    upper bound on every entry of the deviation (unitary invariance of the
-    Frobenius norm).
+    column_block(sl) returns the columns M[:, sl] of one label block.  The
+    block form is fitted on M[sl, sl] as in block_fits; the structure
+    residual is the largest entry of M[sl, sl] minus its fit, and the
+    off-block residual the largest entry of M[:, sl] outside rows sl, both
+    maximized over the label blocks.  Only one column block of M is held at
+    a time, and the caller's block is not modified.
     """
     blocks: dict[Staircase, np.ndarray] = {}
-    if conjugated:
-        M = M_or_Y
-        struct_res = 0.0
-        for g, sl, X, expected in block_fits(W, M, extract):
-            blocks[g] = X
-            struct_res = max(struct_res, float(np.abs(M[sl, sl] - expected).max()))
-            M[sl, sl] = 0.0
-        off_res = float(np.abs(M).max())
-        return BlockDiagReport(off_res, struct_res, blocks, exact=True)
-
-    # Frobenius path: || M - expected ||_F == || Y - W^dagger expected ||_F,
-    # accumulated per label-column block without forming M or Z densely.
-    # The block averages enter through thin contractions only, so the cost
-    # per block is m * d^2 * size instead of (m * d)^2 * size.
-    Y = M_or_Y  # A @ W.conj().T, shape (size, size)
-    Wm = W.matrix
-    size = Wm.shape[0]
-    # W^dagger holds conj(W); a real W is its own conjugate and is not copied
-    conj = np.conj if np.iscomplexobj(Wm) else (lambda a: a)
-    total = 0.0
+    off_res = struct_res = 0.0
     for g, start, dg, mg in block_layout(W):
         sl = slice(start, start + dg * mg)
-        Wb = np.ascontiguousarray(Wm[sl].reshape(mg, dg, size), dtype=complex)
-        Yb = np.ascontiguousarray(Y[:, sl]).reshape(size, mg, dg)
-        if extract == "irrep":
-            Ybt = Yb.transpose(1, 0, 2)  # strided batch view (p, k, r)
-            Q = np.matmul(Wb, Ybt).sum(axis=0) / mg
-            resid = np.matmul(conj(Wb).transpose(0, 2, 1), Q[None])  # (p, k, r)
-            resid -= Ybt
-            blocks[g] = Q
-        else:
-            P = np.einsum("pqk,ksq->ps", Wb, Yb, optimize=True) / dg
-            resid = np.einsum("pqk,ps->ksq", conj(Wb), P, optimize=True)
-            resid -= Yb
-            blocks[g] = P
-        total += float(np.vdot(resid, resid).real)
-    bound = float(np.sqrt(total))
-    return BlockDiagReport(bound, bound, blocks, exact=False)
+        C = column_block(sl)
+        blocks[g], fit = _fit_block(C[sl], dg, mg, extract)
+        struct_res = max(struct_res, float(np.abs(C[sl] - fit).max()))
+        for rest in (C[:sl.start], C[sl.stop:]):
+            if rest.size:
+                off_res = max(off_res, float(np.abs(rest).max()))
+    return BlockDiagReport(off_res, struct_res, blocks)
 
 
-def verify_blockdiag(W: SchurTransform, U: np.ndarray,
-                     method: str = "auto") -> BlockDiagReport:
-    """Residuals of W (mixed tensor of U) W^dagger against the Q (x) Id block form."""
+def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
+    """Residuals of W (mixed tensor of U) W^dagger against the Q (x) Id block form.
+
+    Column block sl is W times the legs of U applied to W^dagger[:, sl].
+    """
     factors = mixed_tensor_factors(np.asarray(U, dtype=complex), W.factor_order)
-    Y = apply_legs(W.matrix.conj().T, factors)
-    if method == "exact" or (method == "auto" and W.size <= DENSE_VERIFY_CUTOFF):
-        return _structured_residuals(W, sector_matmul(W, Y), True, "irrep")
-    return _structured_residuals(W, Y, False, "irrep")
+    split = _SectorSplit(W)
+    return _structured_residuals(
+        W, lambda sl: split.matmul(apply_legs(W.matrix[sl].conj().T, factors)), "irrep")
 
 
-def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram,
-                  method: str = "auto") -> BlockDiagReport:
+def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> BlockDiagReport:
     """Residuals of W psi(sigma) W^dagger against the Id (x) P block form.
 
     The diagram action is taken in the same leg order as W.factor_order: the
@@ -328,37 +301,11 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram,
     """
     if (sigma.n, sigma.m) != (W.n, W.m):
         raise ValueError("diagram size does not match the transform")
-    A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, W.size)).tocsr()
-    perm = _leg_permutation(W.factor_order)
-    if perm is not None:
-        P = _tensor_permutation_matrix(perm, W.d)
-        A = P @ A @ P.T
-    Y = A @ W.matrix.conj().T
-    if method == "exact" or (method == "auto" and W.size <= DENSE_VERIFY_CUTOFF):
-        return _structured_residuals(W, sector_matmul(W, Y), True, "mult")
-    return _structured_residuals(W, Y, False, "mult")
-
-
-def _leg_permutation(order: str) -> list[int] | None:
-    """Map diagram columns (all '+' then all '-') to the legs of factor_order."""
-    n = order.count("+")
-    plus = [k for k, c in enumerate(order) if c == "+"]
-    minus = [k for k, c in enumerate(order) if c == "-"]
-    perm = plus + minus
-    return None if perm == list(range(len(order))) else perm
-
-
-def _tensor_permutation_matrix(perm: list[int], d: int) -> scipy.sparse.csr_matrix:
-    """Sparse matrix mapping leg k of the input to leg perm[k] of the output."""
-    N = len(perm)
-    size = d ** N
-    src = np.arange(size)
-    digits = [(src // d ** (N - 1 - k)) % d for k in range(N)]
-    dst = np.zeros(size, dtype=np.int64)
-    for k in range(N):
-        dst += digits[k] * d ** (N - 1 - perm[k])
-    data = np.ones(size)
-    return scipy.sparse.csr_matrix((data, (dst, src)), shape=(size, size))
+    A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, W.size),
+                         order=W.factor_order).tocsr()
+    split = _SectorSplit(W)
+    return _structured_residuals(
+        W, lambda sl: split.matmul(A @ W.matrix[sl].conj().T), "mult")
 
 
 def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -390,46 +337,64 @@ def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return W._sectors
 
 
+class _SectorSplit:
+    """W.matrix split into its weight sector blocks, for many products against W.
+
+    Sector k holds the dense block W[rows_k, cols_k].  Entries of W outside
+    their sector, zero for a built transform, are kept as one sparse matrix,
+    so every product equals the dense product for any W.  The split and the
+    scan for those entries are made once, here; a product then costs the sum
+    of |rows_k| |cols_k| over sectors per column of X, not D^2.
+    """
+
+    def __init__(self, W: SchurTransform):
+        self.matrix = Wm = W.matrix
+        weights, row_sector, col_sector = weight_sectors(W)
+        self.rows, self.cols = (
+            np.split(np.argsort(s, kind="stable"),
+                     np.cumsum(np.bincount(s, minlength=len(weights)))[:-1])
+            for s in (row_sector, col_sector))
+        self.blocks = [Wm[np.ix_(r, c)] for r, c in zip(self.rows, self.cols)]
+        self.off = None
+        # counting is cheaper than locating: scan for off-sector entries only
+        # when there are some
+        if np.count_nonzero(Wm) > sum(np.count_nonzero(B) for B in self.blocks):
+            r, c = np.nonzero(Wm)
+            off = row_sector[r] != col_sector[c]
+            r, c = r[off], c[off]
+            self.off = scipy.sparse.csr_matrix((Wm[r, c], (r, c)), shape=Wm.shape)
+
+    def matmul(self, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """W X, or W^dagger X with adjoint=True.
+
+        A real block meets a complex X through the float view of X, so the
+        GEMM stays real.
+        """
+        X = np.ascontiguousarray(X)
+        shape = X.shape
+        X = X.reshape(shape[0], -1)
+        Wm = self.matrix
+        out = np.zeros((Wm.shape[1] if adjoint else Wm.shape[0], X.shape[1]),
+                       dtype=np.result_type(Wm, X))
+        Xv, outv = X, out
+        if not np.iscomplexobj(Wm) and np.iscomplexobj(X):
+            Xv, outv = X.view(float), out.view(float)
+        for rows, cols, B in zip(self.rows, self.cols, self.blocks):
+            if adjoint:
+                outv[cols] = B.conj().T @ Xv[rows]
+            else:
+                outv[rows] = B @ Xv[cols]
+        if self.off is not None:
+            out += (self.off.conj().T if adjoint else self.off) @ X
+        return out.reshape((out.shape[0],) + shape[1:])
+
+
 def sector_matmul(W: SchurTransform, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """W.matrix @ X, or W.matrix^dagger @ X with adjoint=True, by weight sector.
 
-    Each sector k contributes its dense block W[rows_k, cols_k] against the
-    matching rows of X; a real block meets a complex X through the float
-    view of X, so the GEMM stays real.  Entries of W outside their sector,
-    zero for a built transform, enter through one sparse product, so the
-    result equals the dense product for any W.  The cost is the sum of
-    |rows_k| |cols_k| over sectors per column of X, not D^2.
+    Equal to the dense product for any W; see _SectorSplit for the cost.
     """
-    Wm = W.matrix
-    weights, row_sector, col_sector = weight_sectors(W)
-    X = np.ascontiguousarray(X)
-    shape = X.shape
-    X = X.reshape(shape[0], -1)
-    out = np.zeros((Wm.shape[1] if adjoint else Wm.shape[0], X.shape[1]),
-                   dtype=np.result_type(Wm, X))
-    Xv, outv = X, out
-    if not np.iscomplexobj(Wm) and np.iscomplexobj(X):
-        Xv, outv = X.view(float), out.view(float)
-    rows_of, cols_of = (np.split(np.argsort(s, kind="stable"),
-                                 np.cumsum(np.bincount(s, minlength=len(weights)))[:-1])
-                        for s in (row_sector, col_sector))
-    in_sector = 0
-    for rows, cols in zip(rows_of, cols_of):
-        B = Wm[np.ix_(rows, cols)]
-        in_sector += np.count_nonzero(B)
-        if adjoint:
-            outv[cols] = B.conj().T @ Xv[rows]
-        else:
-            outv[rows] = B @ Xv[cols]
-    # counting is cheaper than locating: scan for off-sector entries only
-    # when there are some
-    if np.count_nonzero(Wm) > in_sector:
-        r, c = np.nonzero(Wm)
-        off = row_sector[r] != col_sector[c]
-        r, c = r[off], c[off]
-        E = scipy.sparse.csr_matrix((Wm[r, c], (r, c)), shape=Wm.shape)
-        out += (E.conj().T if adjoint else E) @ X
-    return out.reshape((out.shape[0],) + shape[1:])
+    return _SectorSplit(W).matmul(X, adjoint)
 
 
 def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
@@ -483,14 +448,9 @@ def ptpqp_amplitude(n: int, m: int, d: int,
     W against the sparse H.  No D x D dense matrix is formed.
     """
     W = build_mixed_schur(n, m, d, factor_order, cap=cap)
-    perm = _leg_permutation(W.factor_order)
-    P = _tensor_permutation_matrix(perm, d) if perm is not None else None
     H = scipy.sparse.csr_matrix((W.size, W.size), dtype=complex)
     for coeff, sigma in hamiltonian:
-        A = brauer.represent(sigma, d, cap=cap).tocsr()
-        if P is not None:
-            A = P @ A @ P.T
-        H = H + coeff * A
+        H = H + coeff * brauer.represent(sigma, d, cap=cap, order=W.factor_order).tocsr()
     herm_defect = float(abs(H - H.conj().T).max())
     if herm_defect > 1e-12:
         raise ValueError(f"hamiltonian is not hermitian (defect {herm_defect:.2e}); "

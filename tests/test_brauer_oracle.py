@@ -3,7 +3,9 @@
 The oracle enumerates the column digits i, keeps those that satisfy the
 top-top pairs, copies them through the top-bottom pairs and runs over the
 free values of the bottom-bottom pairs, exactly as the definition of the
-diagram action reads.
+diagram action reads.  For a factor order other than all '+' then all '-',
+the oracle conjugates that matrix by the tensor permutation that moves
+diagram column k onto the k-th leg of its kind.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mskit.brauer import all_diagrams, from_permutation, represent
+from mskit.brauer import all_diagrams, from_permutation, identity, represent
 from mskit.rand import rng_from_seed
 
 
@@ -74,3 +76,32 @@ def test_seeded_random_diagrams(n, m, d):
     for _ in range(4):
         perm = tuple(int(x) for x in rng.permutation(n + m))
         assert_same(from_permutation(perm, n, m), d)
+
+
+def permuted_represent(sigma, d, order):
+    """P A P^T, P sending leg k of diagram order to leg perm[k] of order."""
+    N = sigma.size
+    perm = ([k for k, c in enumerate(order) if c == "+"]
+            + [k for k, c in enumerate(order) if c == "-"])
+    size = d ** N
+    src = np.arange(size)
+    dst = np.zeros(size, dtype=np.int64)
+    for k in range(N):
+        dst += ((src // d ** (N - 1 - k)) % d) * d ** (N - 1 - perm[k])
+    P = sp.csr_matrix((np.ones(size, dtype=np.int64), (dst, src)), shape=(size, size))
+    return P @ loop_represent(sigma, d).tocsr() @ P.T
+
+
+@pytest.mark.parametrize("n,m", SMALL)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_factor_order_matches_permuted_oracle(n, m, d):
+    orders = sorted({"".join(p) for p in itertools.permutations("+" * n + "-" * m)})
+    for sigma in all_diagrams(n, m):
+        for order in orders:
+            got = represent(sigma, d, cap=1 << 12, order=order)
+            want = permuted_represent(sigma, d, order)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.toarray(), want.toarray()), order
+    if n and m:
+        with pytest.raises(ValueError):
+            represent(identity(n, m), d, order="+" * (n + m))

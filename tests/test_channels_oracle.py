@@ -143,7 +143,7 @@ def test_random_cptp_choi_matches_stinespring_map(m_in, n_out, d, rank):
 
 def dense_choi_to_schur(J, W):
     M = W.matrix @ J.matrix @ W.matrix.conj().T
-    return _structured_residuals(W, M, True, "mult")
+    return _structured_residuals(W, lambda sl: M[:, sl], "mult")
 
 
 def dense_twirl(J, W):
@@ -178,7 +178,11 @@ def test_choi_to_schur_and_twirl_match_dense(n, d):
     J = random_cptp_choi(1, n, d, rng)
     twirled = twirl(J, W)
     assert np.abs(twirled.matrix - dense_twirl(J, W)).max() < 1e-12
-    for Jx in (J, twirled):
+    # J need not be Hermitian: J + iK fails any shortcut that uses J for J^dagger
+    K = rng.standard_normal((W.size, W.size))
+    nonherm = ChoiMatrix(n_out=n, m_in=1, d=d, matrix=J.matrix + 1j * K)
+    assert np.abs(nonherm.matrix - nonherm.matrix.conj().T).max() > 1e-3
+    for Jx in (J, twirled, nonherm):
         rep, want = choi_to_schur(Jx, W), dense_choi_to_schur(Jx, W)
         assert abs(rep.off_block_residual - want.off_block_residual) < 1e-12
         assert abs(rep.structure_residual - want.structure_residual) < 1e-12
@@ -192,11 +196,12 @@ def test_choi_to_schur_and_twirl_match_dense(n, d):
     V = block_phased(W, 80 + n + d)
     assert np.abs(twirl(J, V).matrix - dense_twirl(J, V)).max() < 1e-12
     assert np.abs(twirl(J, V).matrix - twirled.matrix).max() < 1e-12
-    rep, want = choi_to_schur(J, V), dense_choi_to_schur(J, V)
-    assert abs(rep.off_block_residual - want.off_block_residual) < 1e-12
-    assert abs(rep.structure_residual - want.structure_residual) < 1e-12
-    for g, X in want.blocks.items():
-        assert np.abs(rep.multiplicity_blocks[g] - X).max() < 1e-12
+    for Jx in (J, nonherm):
+        rep, want = choi_to_schur(Jx, V), dense_choi_to_schur(Jx, V)
+        assert abs(rep.off_block_residual - want.off_block_residual) < 1e-12
+        assert abs(rep.structure_residual - want.structure_residual) < 1e-12
+        for g, X in want.blocks.items():
+            assert np.abs(rep.multiplicity_blocks[g] - X).max() < 1e-12
 
 
 SECTOR_SHAPES = [(1, 1, 2, "-+"), (2, 1, 2, "-++"), (2, 2, 3, "+--+"),

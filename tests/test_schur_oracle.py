@@ -1,9 +1,10 @@
 """The sector-wise build and checks of the Schur transform against dense oracles.
 
 The oracles are the straightforward formulas: the cascade as one einsum per
-(leg, staircase), the random-phase weight check over all D x D entries, and
-max |W Wt - I| from the full product.  They share no code with
-mskit.schur beyond the CG transforms and the GT pattern weights.
+(leg, staircase), the random-phase weight check over all D x D entries,
+max |W Wt - I| from the full product, and the verification residuals read
+from the dense M = W A W^dagger.  They share no code with mskit.schur beyond
+the CG transforms and the GT pattern weights.
 """
 
 import dataclasses
@@ -11,11 +12,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mskit.brauer import from_permutation
 from mskit.cg import cg_transform
 from mskit.gelfand import enumerate_patterns, pattern_weight
-from mskit.rand import rng_from_seed
-from mskit.schur import build_mixed_schur, weight_check
+from mskit.rand import haar_unitary, rng_from_seed
+from mskit.schur import (build_mixed_schur, verify_blockdiag, verify_brauer,
+                         weight_check)
 from mskit.staircase import dim
+
+from test_brauer_oracle import permuted_represent
+from test_schur import block_phased
 
 # D <= 1024, with mixed factor orders
 SHAPES = [(1, 1, 2, "-+"), (2, 1, 2, "-++"), (3, 2, 2, "+-+-+"), (2, 2, 2, "-+-+"),
@@ -121,3 +127,62 @@ def test_unitarity_residual_matches_dense(built):
     assert abs(W.unitarity_residual() - dense_unitarity(W.matrix)) <= 1e-14
     Wp = off_weight_copy(W, 0)
     assert Wp.unitarity_residual() >= dense_unitarity(Wp.matrix)
+
+
+def dense_block_residuals(W, A, extract):
+    """(off-block, structure, blocks) read from the dense M = W A W^dagger.
+
+    Each label block is gathered by its (gamma, q, p) labels as a
+    (p, q, p', q') array and fitted as Id (x) X ("irrep", X the mean of the
+    diagonal p blocks) or X (x) Id ("mult", X the mean of the diagonal q
+    entries).
+    """
+    M = W.matrix @ A @ W.matrix.conj().T
+    gammas = sorted({g for g, _, _ in W.basis})
+    gid = np.array([gammas.index(g) for g, _, _ in W.basis])
+    off = float(np.abs(M[gid[:, None] != gid[None, :]]).max(initial=0.0))
+    struct, blocks = 0.0, {}
+    for g in gammas:
+        labels = [(q, p, k) for k, (gg, q, p) in enumerate(W.basis) if gg == g]
+        dg = 1 + max(q for q, _, _ in labels)
+        mg = 1 + max(p for _, p, _ in labels)
+        idx = np.empty((mg, dg), dtype=int)
+        for q, p, k in labels:
+            idx[p, q] = k
+        T = M[np.ix_(idx.ravel(), idx.ravel())].reshape(mg, dg, mg, dg)
+        if extract == "irrep":
+            X = sum(T[p, :, p, :] for p in range(mg)) / mg
+            fit = np.kron(np.eye(mg), X)
+        else:
+            X = sum(T[:, q, :, q] for q in range(dg)) / dg
+            fit = np.kron(X, np.eye(dg))
+        blocks[g] = X
+        struct = max(struct, float(np.abs(T.reshape(dg * mg, -1) - fit).max()))
+    return off, struct, blocks
+
+
+def assert_report_matches(rep, want):
+    off, struct, blocks = want
+    assert abs(rep.off_block_residual - off) <= 1e-13
+    assert abs(rep.structure_residual - struct) <= 1e-13
+    assert rep.blocks.keys() == blocks.keys()
+    for g, X in blocks.items():
+        assert np.abs(rep.blocks[g] - X).max() <= 1e-13
+
+
+@pytest.mark.parametrize("variant", ["built", "off-sector entry", "complex"])
+def test_verification_matches_dense_conjugation(built, variant):
+    W, _ = built
+    if variant == "off-sector entry":
+        W = off_weight_copy(W, 1)
+    elif variant == "complex":
+        W = block_phased(W, 41)
+    rng = rng_from_seed(40 + W.size)
+    U = haar_unitary(W.d, rng)
+    A = np.ones((1, 1))
+    for kind in W.factor_order:
+        A = np.kron(A, U if kind == "+" else U.conj())
+    assert_report_matches(verify_blockdiag(W, U), dense_block_residuals(W, A, "irrep"))
+    sigma = from_permutation(tuple(int(x) for x in rng.permutation(W.n + W.m)), W.n, W.m)
+    A = permuted_represent(sigma, W.d, W.factor_order).toarray()
+    assert_report_matches(verify_brauer(W, sigma), dense_block_residuals(W, A, "mult"))
