@@ -6,11 +6,21 @@ dual_cg(mu) realizes the multiplicity-free decomposition
 
 as a real unitary of size dim(mu) * d.  Columns are indexed (pattern of mu,
 tensor leg i) with i minor; rows run over the targets in canonical staircase
-order, each block indexed by the target's canonical GT patterns.  The matrix
-is built recursively: the leg value i < d is handled by the U(d-1) transform
-acting inside the second pattern row, i = d leaves the U(d-1) content alone,
-and the reduced Wigner coefficients splice the two cases into the U(d)
-targets.  The base case d = 1 maps the integer c to c - 1 with coefficient 1.
+order, each block indexed by the target's canonical GT patterns.
+
+The coupling is built recursively, as sparse (row, column, value) triplets:
+the leg value i < d is handled by the U(d-1) coupling acting inside the
+second pattern row, i = d leaves the U(d-1) content alone, and the reduced
+Wigner coefficients splice the two cases into the U(d) targets.  One
+vectorized step per mu remaps the entries of every content mu' (its U(d-1)
+coupling) into every target mu - e_j: each output block of the content's
+coupling gets a row shift and one coefficient T(mu, j, mu', j'), and its
+column (q', i') moves to (q_mu' + q', i') in the U(d) numbering; the leg
+i = d adds a diagonal scaled by T(mu, j, mu', 0).  The base case d = 1 maps
+the integer c to c - 1 with coefficient 1.  Weight conservation keeps the
+triplets a small fraction of the dense size, so the recursion never makes a
+dense matrix: only the public calls below do, once, for the coupling they
+return.
 
 defining_cg(lam) realizes Q_lam (x) Q_box ~= direct sum over lam + box.  It is
 produced by bending the dual transform: the one-dimensionality of equivariant
@@ -19,28 +29,35 @@ map spaces makes
     C_def[q_lam, i -> q_nu] = sqrt(dim nu / dim lam) * C_dual[q_nu, i -> q_lam]
 
 an exact identity up to a global phase per block, and with the real dual
-coefficients the bent map assembles into a real unitary.  Unitarity is
-asserted; a failure would signal a convention bug, not a numerical issue.
+coefficients the bent map assembles into a real unitary.  The bend moves the
+triplets of the lam block of each target's dual coupling, which is never made
+dense.  Unitarity is asserted as the exact max |S S^T - I|, from a sparse
+Gram product of the nonzeros past 128 rows and a dense one below; a failure
+would signal a convention bug, not a numerical issue.
 
-Both constructions are memoized; cached and fresh results are the same arrays,
-which are read-only so that no caller can corrupt later transforms.
+The triplets and the public transforms are memoized (``clear_cache`` empties
+both); cached and fresh results are the same arrays, which are read-only so
+that no caller can corrupt later transforms.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 from .gelfand import enumerate_patterns, interlacing_set, subduce_offsets
 from .staircase import (Staircase, add_box_set, dim, remove_box_set, validate)
-from .wigner import dual_reduced_wigner
+from .wigner import reduced_wigner_table
 from .bratteli import CapExceeded
 
 CG_DIM_CAP = 65536
 
 _memo: dict[tuple[str, Staircase], "CGTransform"] = {}
+_triplet_memo: dict[Staircase, "_Triplets"] = {}
 _memo_lock = threading.Lock()
 
 
@@ -65,13 +82,56 @@ class CGTransform:
         raise KeyError(f"{target} is not an output block")
 
     def unitarity_residual(self) -> float:
-        w = self.matrix
-        return float(np.abs(w @ w.T - np.eye(w.shape[0])).max())
+        return _gram_residual(self.matrix)
+
+
+# Up to this many rows a dense Gram product is cheaper than scipy.sparse's
+# fixed cost (measured: 0.02-0.15 ms against 0.3-0.45 ms; they cross near 200).
+_DENSE_GRAM_MAX = 128
+
+
+def _gram_residual(w: np.ndarray, entries=None) -> float:
+    """Exact max |W W^T - I| of a square real W; NaN if W carries a NaN.
+
+    Past _DENSE_GRAM_MAX rows the product is sparse, over the nonzero entries
+    (vals, (rows, cols)) of W when they are given, so its cost grows with them.
+    """
+    n = w.shape[0]
+    if n <= _DENSE_GRAM_MAX:
+        return float(np.abs(w @ w.T - np.eye(n)).max())
+    s = scipy.sparse.csr_array(w if entries is None else entries, shape=w.shape)
+    g = (s @ s.T).tocoo()
+    off = g.row != g.col
+    dev = np.concatenate([g.data[off], g.diagonal() - 1.0])
+    return float(np.abs(dev).max(initial=0.0))
+
+
+class _Triplets(NamedTuple):
+    """A coupling as unique (row, col, val) entries, read-only.
+
+    Columns index (input pattern q, leg i) as q * d + i.  Entries are grouped
+    by output block: block b holds entries ptr[b]:ptr[b + 1].
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    ptr: np.ndarray
+    blocks: tuple[tuple[Staircase, int, int], ...]
 
 
 def clear_cache() -> None:
     with _memo_lock:
         _memo.clear()
+        _triplet_memo.clear()
+
+
+def _dense(rows, cols, vals, n: int) -> np.ndarray:
+    """The n x n read-only matrix with the given unique entries."""
+    W = np.zeros((n, n))
+    W[rows, cols] = vals
+    W.setflags(write=False)
+    return W
 
 
 def dual_cg(mu: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
@@ -84,8 +144,9 @@ def dual_cg(mu: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
     d = len(mu)
     if dim(mu) * d > cap:
         raise CapExceeded(f"dim(mu) * d = {dim(mu) * d} exceeds cap {cap}")
-    out = _build_dual(mu)
-    out.matrix.setflags(write=False)
+    t = _sparse_dual(mu)
+    W = _dense(t.rows, t.cols, t.vals, dim(mu) * d)
+    out = CGTransform(mu, d, "dual", W, t.blocks)
     with _memo_lock:
         return _memo.setdefault(key, out)
 
@@ -99,45 +160,74 @@ def _target_blocks(targets: list[Staircase]) -> tuple[tuple[Staircase, int, int]
     return tuple(blocks)
 
 
-def _build_dual(mu: Staircase) -> CGTransform:
+def _changed(a: Staircase, b: Staircase) -> int:
+    """Index of the one entry where a and b differ."""
+    return next(k for k in range(len(b)) if a[k] != b[k])
+
+
+def _sparse_dual(mu: Staircase) -> _Triplets:
+    """Triplets of dual_cg(mu), built from those of the U(d-1) couplings."""
+    hit = _triplet_memo.get(mu)
+    if hit is not None:
+        return hit
+    blocks = _target_blocks(remove_box_set(mu))
+    if len(mu) == 1:
+        rows, cols, vals, ptr = (np.zeros(1, np.intp), np.zeros(1, np.intp),
+                                 np.ones(1), np.arange(2))
+    else:
+        rows, cols, vals, ptr = _remap_subcouplings(mu, blocks)
+    for x in (rows, cols, vals, ptr):
+        x.setflags(write=False)
+    out = _Triplets(rows, cols, vals, ptr, blocks)
+    with _memo_lock:
+        return _triplet_memo.setdefault(mu, out)
+
+
+def _remap_subcouplings(mu: Staircase, blocks) -> tuple[np.ndarray, ...]:
+    """rows, cols, vals and block pointer of dual_cg(mu), d >= 2.
+
+    Every target block gets one line of candidate entries: the entries of
+    each content's U(d-1) coupling (leg values below d), then one diagonal
+    entry per pattern of mu (leg value d).  The coefficients zero out the
+    candidates that do not reach the target.
+    """
     d = len(mu)
-    targets = remove_box_set(mu)
-    blocks = _target_blocks(targets)
-    n_rows = sum(s for _, _, s in blocks)
-    dmu = dim(mu)
-    W = np.zeros((n_rows, dmu * d))
+    contents = interlacing_set(mu)  # the order of subduce(mu)
+    table = reduced_wigner_table(mu, contents)  # [mu', j - 1, j']
+    subs = [_sparse_dual(m) for m in contents]
+    dims = [dim(m) for m in contents]
+    in_off = np.cumsum([0] + dims[:-1])
+    # every sub-coupling output block k, over all contents
+    kb = [(a, nup, s_off, 1 + _changed(nup, m))
+          for a, (m, s) in enumerate(zip(contents, subs)) for nup, s_off, _ in s.blocks]
+    k_a = np.array([a for a, _, _, _ in kb])
+    k_jp = np.array([jp for _, _, _, jp in kb])
+    k_of = np.repeat(np.arange(len(kb)), np.concatenate([np.diff(s.ptr) for s in subs]))
+    q_a = np.repeat(np.arange(len(contents)), dims)  # content of each pattern q of mu
+    q = np.arange(len(q_a))
+    # column (q', i') of the content's coupling -> (q_mu' + q', i'); the leg
+    # value d keeps the pattern: (q, d)
+    sub_q, sub_i = np.divmod(np.concatenate([s.cols for s in subs]), d - 1)
+    cols = np.concatenate([(in_off[k_a][k_of] + sub_q) * d + sub_i, q * d + d - 1])
+    vals = np.concatenate([np.concatenate([s.vals for s in subs]), np.ones(len(q))])
 
-    if d == 1:
-        W[0, 0] = 1.0
-        return CGTransform(mu, d, "dual", W, blocks)
-
-    in_off = subduce_offsets(mu)
-    W3 = W.reshape(n_rows, dmu, d)  # (row, input pattern, tensor leg)
-    for target, t_off, _ in blocks:
-        j = 1 + next(k for k in range(d) if target[k] != mu[k])
-        out_off = subduce_offsets(target)
-        for mup in interlacing_set(mu):
-            dmup = dim(mup)
-            # leg value d: U(d-1) content rides through unchanged
-            if mup in out_off:
-                t0 = dual_reduced_wigner(mu, j, mup, 0)
-                if t0 != 0.0:
-                    rows = t_off + out_off[mup] + np.arange(dmup)
-                    W3[rows, in_off[mup] + np.arange(dmup), d - 1] = t0
-            # leg values below d: delegate to the U(d-1) transform
-            sub = dual_cg(mup)
-            for nup, s_off, s_size in sub.output_blocks:
-                if nup not in out_off:
-                    continue
-                jp = 1 + next(k for k in range(d - 1) if nup[k] != mup[k])
-                t = dual_reduced_wigner(mu, j, mup, jp)
-                if t == 0.0:
-                    continue
-                sb = sub.matrix[s_off:s_off + s_size].reshape(s_size, dmup, d - 1)
-                r0 = t_off + out_off[nup]
-                c0 = in_off[mup]
-                W3[r0:r0 + s_size, c0:c0 + dmup, :d - 1] += t * sb
-    return CGTransform(mu, d, "dual", W, blocks)
+    tj = np.array([_changed(t, mu) for t, _, _ in blocks])
+    offs = [(row0, subduce_offsets(t)) for t, row0, _ in blocks]
+    # coefficient T(mu, j, mu', j') of sub-coupling block k in target j, and
+    # T(mu, j, mu', 0) of the pattern q; each lands on the target's content
+    coef = np.concatenate([table[k_a[None, :], tj[:, None], k_jp[None, :]][:, k_of],
+                           table[q_a[None, :], tj[:, None], 0]], axis=1)
+    shift = np.array([[row0 + out.get(nup, 0) - s_off for _, nup, s_off, _ in kb]
+                      for row0, out in offs], dtype=np.intp)
+    base = np.array([[row0 + out.get(m, 0) for m in contents] for row0, out in offs],
+                    dtype=np.intp) - in_off
+    rows = np.concatenate([np.concatenate([s.rows for s in subs]) + shift[:, k_of],
+                           base[:, q_a] + q], axis=1)
+    keep = np.flatnonzero(coef)
+    line = keep % coef.shape[1]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(keep // coef.shape[1],
+                                                     minlength=len(blocks)))])
+    return rows.ravel()[keep], cols[line], coef.ravel()[keep] * vals[line], ptr
 
 
 def bend(dual_block: np.ndarray, dim_nu: int, dim_lam: int, d: int) -> np.ndarray:
@@ -166,18 +256,24 @@ def defining_cg(lam: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
     dlam = dim(lam)
     if dlam * d > cap:
         raise CapExceeded(f"dim(lam) * d = {dlam * d} exceeds cap {cap}")
-    targets = add_box_set(lam)
-    blocks = _target_blocks(targets)
-    n_rows = sum(s for _, _, s in blocks)
-    W = np.zeros((n_rows, dlam * d))
+    blocks = _target_blocks(add_box_set(lam))
+    pieces = []
     for nu, off, dn in blocks:
-        W[off:off + dn] = bend(dual_cg(nu).block(lam), dn, dlam, d)
-    resid = np.abs(W @ W.T - np.eye(n_rows)).max()
-    if resid > 1e-8:
+        # the real dual block C_dual[q_lam, (q_nu, i)] moves to
+        # C_def[q_nu, (q_lam, i)], scaled; the swap is on triplets
+        t = _sparse_dual(nu)
+        b = next(k for k, (g, _, _) in enumerate(t.blocks) if g == lam)
+        sl = slice(t.ptr[b], t.ptr[b + 1])
+        q_nu, i = np.divmod(t.cols[sl], d)
+        q_lam = t.rows[sl] - t.blocks[b][1]
+        pieces.append((off + q_nu, q_lam * d + i, np.sqrt(dn / dlam) * t.vals[sl]))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*pieces))
+    W = _dense(rows, cols, vals, dlam * d)
+    resid = _gram_residual(W, (vals, (rows, cols)))
+    if not resid <= 1e-8:
         raise RuntimeError(
             f"bent defining CG for {lam} failed unitarity ({resid:.2e}); "
             "coupling conventions are inconsistent")
-    W.setflags(write=False)
     out = CGTransform(lam, d, "defining", W, blocks)
     with _memo_lock:
         return _memo.setdefault(key, out)

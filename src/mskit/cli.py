@@ -168,13 +168,21 @@ def _parse_label(text: str):
                          f"e.g. [1,0]:0:0 ({exc})") from None
 
 
+def _parse_term(text: str, n: int, m: int):
+    try:
+        coeff, diagram = text.split(":", 1)
+        return float(coeff), brauer.parse_diagram(diagram, n, m)
+    except ValueError as exc:
+        raise ValueError(f"bad term {text!r}: expected coeff:pairs, "
+                         f"e.g. 0.7:t1-b1,t2-b2 ({exc})") from None
+
+
 def cmd_ptpqp(args) -> int:
     terms = []
     for spec_ in args.term:
-        coeff, diagram = spec_.split(":", 1)
-        sigma = brauer.parse_diagram(diagram, args.n, args.m)
-        terms.append((float(coeff) / 2, sigma))
-        terms.append((float(coeff) / 2, brauer.dagger(sigma)))
+        coeff, sigma = _parse_term(spec_, args.n, args.m)
+        terms.append((coeff / 2, sigma))
+        terms.append((coeff / 2, brauer.dagger(sigma)))
     prob = schur.ptpqp_amplitude(args.n, args.m, args.d, terms, args.time,
                                  _parse_label(getattr(args, "from")),
                                  _parse_label(args.to), cap=_cap(args))

@@ -19,11 +19,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """PSD trace-one matrix from a Ginibre factor of the given rank."""
     rank = d if rank is None else rank

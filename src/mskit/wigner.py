@@ -18,10 +18,19 @@ Closed form, in shifted coordinates s_k = mu_k - k and s'_k = mu'_k - k:
         | prod_{k != j'} (s'_k - s_j) / (s'_k - s'_{j'} + 1)
         * prod_{k != j}  (s_k - s'_{j'} + 1) / (s_k - s_j) |^(1/2)
 
-with sign S(j, j') = +1 if j <= j' and -1 otherwise.  The shifted entries of a
-staircase are strictly decreasing, so no denominator vanishes.  The numerator
-vanishes exactly when the output fails interlacing, which is also enforced by
-an explicit mask; a disagreement between mask and formula raises.
+with sign S(j, j') = +1 if j <= j' and -1 otherwise.
+
+Evaluation: :func:`reduced_wigner_table` takes a staircase mu and a list of
+contents mu' and evaluates every j and j' in one numpy pass.  Each value is
+the signed square root of a ratio of two integer products; the products are
+exact (int64, or Python integers where the factors could overflow it), so the
+only rounding is one division and one square root.  The shifted entries of a
+staircase strictly decrease, so s_k - s_j never vanishes; s'_k - s'_{j'} + 1
+vanishes exactly where mu' - e_{j'} is no staircase, an index the mask zeroes.
+The numerator vanishes exactly when the output fails interlacing, which is
+also enforced by an explicit mask; where mask and formula disagree the value
+is masked to 0 with a RuntimeWarning.  :func:`dual_reduced_wigner` validates
+its arguments and reads its value from the same table.
 
 Grouped by fixed output content nu, the coefficients form square orthogonal
 matrices (see :func:`reduced_wigner_operator`); that orthogonality is what
@@ -40,12 +49,58 @@ from .staircase import Staircase, interlaces, is_valid, validate
 MASK_FORMULA_TOL = 1e-14
 
 
-def _stable_product(factors: list[float]) -> float:
-    """Multiply smallest-magnitude first; keeps long products well scaled."""
-    out = 1.0
-    for f in sorted(factors, key=abs):
-        out *= f
-    return out
+def reduced_wigner_table(mu: Staircase, contents) -> np.ndarray:
+    """T(mu, j, mu', j') for every content mu' in contents and every j, j'.
+
+    contents lists length d-1 staircases interlacing mu (not checked here,
+    see :func:`dual_reduced_wigner`).  Entry [a, j - 1, j'] of the returned
+    (len(contents), d, d) array is T(mu, j, contents[a], j'); entries whose
+    output is invalid are 0.
+    """
+    d, n = len(mu), len(contents)
+    m = np.array(mu, dtype=np.int64)
+    cont = np.array(contents, dtype=np.int64).reshape(n, d - 1)
+    s = m - np.arange(1, d + 1)
+    sp = cont - np.arange(1, d)
+    # every factor is at most mu_1 - mu_d + d + 1 in magnitude; past int64
+    # range the products are taken in Python integers
+    if (int(m[0] - m[-1]) + d + 1) ** max(2 * d - 3, 1) >= 2 ** 62:
+        s, sp = s.astype(object), sp.astype(object)
+    eye = np.eye(d, dtype=bool)
+    a = sp[:, None, :] - s[None, :, None]        # [a, j, k] = s'_k - s_j
+    b = s[None, None, :] - sp[:, :, None] + 1    # [a, p, k] = s_k - s'_p + 1, p = j' - 1
+    num = np.empty((n, d, d), dtype=a.dtype)
+    num[:, :, 0] = a.prod(axis=2)
+    num[:, :, 1:] = (np.where(eye[:-1, :-1], 1, a[:, :, None, :]).prod(axis=3)
+                     * np.where(eye[:, None, :], 1, b[:, None]).prod(axis=3))
+    den = np.ones((n, 1, d), dtype=a.dtype)
+    # prod_{k != p} (s'_k - s'_p + 1): the k = p factor is 1
+    den[:, 0, 1:] = (sp[:, None, :] - sp[:, :, None] + 1).prod(axis=2)
+    den = den * (s[None, :] - s[:, None] + eye).prod(axis=1)[None, :, None]
+    # den vanishes exactly where mu' - e_{j'} is no staircase; masked below
+    den[den == 0] = 1
+    minus = np.tri(d, dtype=bool)  # row j - 1: S(j, j') = -1 where 1 <= j' < j
+    minus[:, 0] = False
+    value = np.where(minus, -1.0, 1.0) * np.sqrt(np.abs(num / den).astype(float))
+
+    # valid iff nu = mu' - e_{j'} (nu = mu' at j' = 0) interlaces mu - e_j,
+    # which also makes both staircases
+    target = (m - np.eye(d, dtype=np.int64))[None, :, None, :]
+    nu = cont[:, None, :] - np.eye(d, d - 1, -1, dtype=np.int64)
+    nu_ok = (nu[..., :-1] >= nu[..., 1:]).all(axis=2)[:, None, :]
+    nu = nu[:, None, :, :]
+    valid = ((target[..., :-1] >= nu) & (nu >= target[..., 1:])).all(axis=3)
+    stray = ~valid & nu_ok & (np.abs(value) > MASK_FORMULA_TOL)
+    if stray.any():
+        ia, jj, jp = (int(x[0]) for x in np.nonzero(stray))
+        warnings.warn(
+            f"reduced Wigner formula gave {value[ia, jj, jp]} on masked index "
+            f"(mu={tuple(mu)}, j={jj + 1}, mu'={tuple(contents[ia])}, j'={jp}); "
+            "masking to 0",
+            RuntimeWarning,
+        )
+    value[~valid] = 0.0
+    return value
 
 
 def dual_reduced_wigner(mu: Staircase, j: int, mu_prime: Staircase, j_prime: int) -> float:
@@ -62,41 +117,7 @@ def dual_reduced_wigner(mu: Staircase, j: int, mu_prime: Staircase, j_prime: int
         raise ValueError(f"j' = {j_prime} out of range for d = {d}")
     if len(mu_prime) != d - 1 or not interlaces(mu_prime, mu):
         raise ValueError(f"{mu_prime} does not interlace {mu}")
-
-    target = mu[:j - 1] + (mu[j - 1] - 1,) + mu[j:]
-    if j_prime == 0:
-        nu = mu_prime
-    else:
-        nu = mu_prime[:j_prime - 1] + (mu_prime[j_prime - 1] - 1,) + mu_prime[j_prime:]
-        if not is_valid(nu):
-            # no output register with this content exists; the closed form is
-            # undefined here (a shifted-entry collision), not merely zero
-            return 0.0
-    valid = is_valid(target) and (d == 1 or interlaces(nu, target))
-
-    s = [mu[k] - (k + 1) for k in range(d)]
-    sp = [mu_prime[k] - (k + 1) for k in range(d - 1)]
-    if j_prime == 0:
-        factors = [float(sp[k] - s[j - 1]) for k in range(d - 1)]
-        factors += [1.0 / (s[k] - s[j - 1]) for k in range(d) if k != j - 1]
-        value = np.sqrt(abs(_stable_product(factors)))
-    else:
-        factors = [(sp[k] - s[j - 1]) / (sp[k] - sp[j_prime - 1] + 1)
-                   for k in range(d - 1) if k != j_prime - 1]
-        factors += [(s[k] - sp[j_prime - 1] + 1) / (s[k] - s[j - 1])
-                    for k in range(d) if k != j - 1]
-        sign = 1.0 if j <= j_prime else -1.0
-        value = sign * np.sqrt(abs(_stable_product(factors)))
-
-    if valid:
-        return float(value)
-    if abs(value) > MASK_FORMULA_TOL:
-        warnings.warn(
-            f"reduced Wigner formula gave {value} on masked index "
-            f"(mu={mu}, j={j}, mu'={mu_prime}, j'={j_prime}); masking to 0",
-            RuntimeWarning,
-        )
-    return 0.0
+    return float(reduced_wigner_table(mu, [tuple(mu_prime)])[0, j - 1, j_prime])
 
 
 @dataclass(frozen=True)
@@ -141,11 +162,11 @@ def reduced_wigner_operator(mu: Staircase, nu: Staircase) -> ReducedWignerBlock:
         src = nu[:jp - 1] + (nu[jp - 1] + 1,) + nu[jp:]
         if is_valid(src) and interlaces(src, mu):
             cols.append(jp)
-    mat = np.zeros((len(rows), len(cols)))
-    for a, j in enumerate(rows):
-        for b, jp in enumerate(cols):
-            src = nu if jp == 0 else nu[:jp - 1] + (nu[jp - 1] + 1,) + nu[jp:]
-            mat[a, b] = dual_reduced_wigner(mu, j, src, jp)
+    sources = [nu if jp == 0 else nu[:jp - 1] + (nu[jp - 1] + 1,) + nu[jp:]
+               for jp in cols]
+    table = reduced_wigner_table(mu, sources)
+    mat = table[np.arange(len(cols)), np.array(rows, dtype=int)[:, None] - 1,
+                np.array(cols, dtype=int)]
     return ReducedWignerBlock(mu=mu, nu=nu, row_targets=tuple(rows),
                               col_sources=tuple(cols), matrix=mat)
 

@@ -262,6 +262,16 @@ def test_ptpqp_bad_label_is_one_line_error(capsys, label):
     assert repr(label) in err and "[gamma]:q:p" in err
 
 
+@pytest.mark.parametrize("term", ["x", "a:t1-b1,t2-b2", "0.7:t1-b9"])
+def test_ptpqp_bad_term_is_one_line_error(capsys, term):
+    code, out, err = run(capsys, "ptpqp", "1", "1", "2", "--term", term, "--time", "1.3",
+                         "--from", "[1,-1]:0:0", "--to", "[1,-1]:0:0")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert repr(term) in err and "coeff:pairs" in err
+
+
 def test_verify_file_with_complex_phases(tmp_path, capsys):
     # each (gamma, p) block times its own phase is still a Schur transform;
     # a phase that varies with q inside one block is not
