@@ -32,8 +32,8 @@ an exact identity up to a global phase per block, and with the real dual
 coefficients the bent map assembles into a real unitary.  The bend moves the
 triplets of the lam block of each target's dual coupling, which is never made
 dense.  Unitarity is asserted as the exact max |S S^T - I|, from a sparse
-Gram product of the nonzeros past 128 rows and a dense one below; a failure
-would signal a convention bug, not a numerical issue.
+Gram product of the nonzeros; a failure would signal a convention bug, not a
+numerical issue.
 
 The triplets and the public transforms are memoized (``clear_cache`` empties
 both); cached and fresh results are the same arrays, which are read-only so
@@ -85,21 +85,12 @@ class CGTransform:
         return _gram_residual(self.matrix)
 
 
-# Up to this many rows a dense Gram product is cheaper than scipy.sparse's
-# fixed cost (measured: 0.02-0.15 ms against 0.3-0.45 ms; they cross near 200).
-_DENSE_GRAM_MAX = 128
-
-
-def _gram_residual(w: np.ndarray, entries=None) -> float:
+def _gram_residual(w: np.ndarray) -> float:
     """Exact max |W W^T - I| of a square real W; NaN if W carries a NaN.
 
-    Past _DENSE_GRAM_MAX rows the product is sparse, over the nonzero entries
-    (vals, (rows, cols)) of W when they are given, so its cost grows with them.
+    The product is sparse, so its cost grows with the nonzeros of W.
     """
-    n = w.shape[0]
-    if n <= _DENSE_GRAM_MAX:
-        return float(np.abs(w @ w.T - np.eye(n)).max())
-    s = scipy.sparse.csr_array(w if entries is None else entries, shape=w.shape)
+    s = scipy.sparse.csr_array(w)
     g = (s @ s.T).tocoo()
     off = g.row != g.col
     dev = np.concatenate([g.data[off], g.diagonal() - 1.0])
@@ -269,7 +260,7 @@ def defining_cg(lam: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
         pieces.append((off + q_nu, q_lam * d + i, np.sqrt(dn / dlam) * t.vals[sl]))
     rows, cols, vals = (np.concatenate(x) for x in zip(*pieces))
     W = _dense(rows, cols, vals, dlam * d)
-    resid = _gram_residual(W, (vals, (rows, cols)))
+    resid = _gram_residual(W)
     if not resid <= 1e-8:
         raise RuntimeError(
             f"bent defining CG for {lam} failed unitarity ({resid:.2e}); "

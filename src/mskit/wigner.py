@@ -23,14 +23,15 @@ with sign S(j, j') = +1 if j <= j' and -1 otherwise.
 Evaluation: :func:`reduced_wigner_table` takes a staircase mu and a list of
 contents mu' and evaluates every j and j' in one numpy pass.  Each value is
 the signed square root of a ratio of two integer products; the products are
-exact (int64, or Python integers where the factors could overflow it), so the
-only rounding is one division and one square root.  The shifted entries of a
-staircase strictly decrease, so s_k - s_j never vanishes; s'_k - s'_{j'} + 1
-vanishes exactly where mu' - e_{j'} is no staircase, an index the mask zeroes.
-The numerator vanishes exactly when the output fails interlacing, which is
-also enforced by an explicit mask; where mask and formula disagree the value
-is masked to 0 with a RuntimeWarning.  :func:`dual_reduced_wigner` validates
-its arguments and reads its value from the same table.
+exact (int64 below 2^53, where float64 holds them exactly, Python integers
+above), so the only rounding is one division and one square root.  The
+shifted entries of a staircase strictly decrease, so s_k - s_j never
+vanishes; s'_k - s'_{j'} + 1 vanishes exactly where mu' - e_{j'} is no
+staircase, an index the mask zeroes.  The numerator vanishes exactly when the
+output fails interlacing, which is also enforced by an explicit mask; where
+mask and formula disagree the value is masked to 0 with a RuntimeWarning.
+:func:`dual_reduced_wigner` validates its arguments and reads its value from
+the same table.
 
 Grouped by fixed output content nu, the coefficients form square orthogonal
 matrices (see :func:`reduced_wigner_operator`); that orthogonality is what
@@ -62,9 +63,10 @@ def reduced_wigner_table(mu: Staircase, contents) -> np.ndarray:
     cont = np.array(contents, dtype=np.int64).reshape(n, d - 1)
     s = m - np.arange(1, d + 1)
     sp = cont - np.arange(1, d)
-    # every factor is at most mu_1 - mu_d + d + 1 in magnitude; past int64
-    # range the products are taken in Python integers
-    if (int(m[0] - m[-1]) + d + 1) ** max(2 * d - 3, 1) >= 2 ** 62:
+    # every factor is at most mu_1 - mu_d + d + 1 in magnitude; products that
+    # could pass 2^53 (float64's exact integers) are taken in Python integers,
+    # whose true division rounds once
+    if (int(m[0] - m[-1]) + d + 1) ** max(2 * d - 3, 1) >= 2 ** 53:
         s, sp = s.astype(object), sp.astype(object)
     eye = np.eye(d, dtype=bool)
     a = sp[:, None, :] - s[None, :, None]        # [a, j, k] = s'_k - s_j

@@ -324,11 +324,14 @@ def test_coefficient_table_matches_scalar_formula(d):
 
 def test_coefficient_table_wide_staircases():
     # factors of up to ~2000 over 13 products overflow int64; the table
-    # switches to Python integers there
+    # switches to Python integers there, and already where a product could
+    # pass 2^53 (24^13 ~ 2^59.6 for the last staircase)
     for mu, contents in [((1000, 0, 0, 0, 0, 0, 0, -1000),
                           [(1000, 0, 0, 0, 0, 0, -1000), (3, 0, 0, 0, 0, 0, -7)]),
                          ((40, 30, 20, 10, 0, -10, -20, -30),
-                          [(35, 25, 15, 5, -5, -15, -25)])]:
+                          [(35, 25, 15, 5, -5, -15, -25)]),
+                         ((10, 5, 3, 2, 1, 0, -1, -5),
+                          [(7, 4, 2, 1, 0, -1, -3), (10, 3, 2, 1, 0, 0, -5)])]:
         table = reduced_wigner_table(mu, contents)
         for a, mup in enumerate(contents):
             for j in range(1, 9):
