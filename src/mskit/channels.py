@@ -44,8 +44,8 @@ import numpy as np
 
 from .bratteli import DEFAULT_CAP
 from .rand import rng_from_seed
-from .schur import (SchurTransform, _SectorSplit, _structured_residuals,
-                    block_layout, build_mixed_schur)
+from .schur import (SchurTransform, _structured_residuals, block_layout,
+                    build_mixed_schur, sector_split)
 from .staircase import Staircase
 
 # Entries of J in one row chunk of is_equivariant: 512 KB of complex data,
@@ -193,7 +193,7 @@ def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> SchurBlockReport:
     is W K[sl]^dagger, another, so W J W^dagger is never held whole.
     """
     _check_transform(J, W)
-    split = _SectorSplit(W)
+    split = sector_split(W)
     # np.conjugate with order="C" transposes and conjugates in one pass
     K = split.matmul(np.conjugate(J.matrix.T, order="C"))
     rep = _structured_residuals(
@@ -211,7 +211,7 @@ def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
     D x D product against W is formed.
     """
     _check_transform(J, W)
-    split = _SectorSplit(W)
+    split = sector_split(W)
     WJ = split.matmul(J.matrix)
     Z = np.empty_like(WJ)
     for _, start, dg, mg in block_layout(W):
@@ -263,21 +263,12 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 def _reference_basis_212() -> np.ndarray:
     """Closed-form Schur basis for (n, m, d) = (2, 1, 2), dual leg first.
 
-    Equals build_mixed_schur(2, 1, 2, "-++").matrix up to a diagonal of signs;
-    frozen here in the sign convention under which the closed-form block
-    entries of :func:`example_channel` hold literally.
+    build_mixed_schur(2, 1, 2, "-++").matrix with rows 2, 3 and 7 negated:
+    the sign convention under which the closed-form block entries of
+    :func:`example_channel` hold literally.
     """
-    s2, s3, s6 = np.sqrt(2.0), np.sqrt(3.0), np.sqrt(6.0)
-    return np.array([
-        [1 / s2, 0, 0, 0, 0, 0, 1 / s2, 0],
-        [0, 1 / s2, 0, 0, 0, 0, 0, 1 / s2],
-        [-1 / s6, 0, 0, 0, 0, -s2 / s3, 1 / s6, 0],
-        [0, 1 / s6, -s2 / s3, 0, 0, 0, 0, -1 / s6],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [-1 / s3, 0, 0, 0, 0, 1 / s3, 1 / s3, 0],
-        [0, -1 / s3, -1 / s3, 0, 0, 0, 0, 1 / s3],
-        [0, 0, 0, 1, 0, 0, 0, 0],
-    ])
+    signs = np.array([1, 1, -1, -1, 1, 1, 1, -1])
+    return signs[:, None] * build_mixed_schur(2, 1, 2, "-++").matrix
 
 
 def example_channel_blocks(t: float, u: float, v: float, w: float,

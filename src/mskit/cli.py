@@ -58,6 +58,7 @@ def cmd_verify(args) -> int:
     if args.file:
         with open(args.file) as f:
             W = mio.read_schur(f, cap=_cap(args))
+        W.matrix.setflags(write=False)  # lets W keep its sector split
     else:
         W = schur.build_mixed_schur(args.n, args.m, args.d, args.order, cap=_cap(args))
     tol = args.tol

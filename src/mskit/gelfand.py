@@ -20,7 +20,9 @@ w > w' lexicographically.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 from .staircase import Staircase, dim, interlaces, validate
 
@@ -129,9 +131,10 @@ def subduce(gamma: Staircase) -> tuple[tuple[Staircase, int, int], ...]:
     return tuple(out)
 
 
-def subduce_offsets(gamma: Staircase) -> dict[Staircase, int]:
-    """Second row -> offset map derived from :func:`subduce`."""
-    return {mu: off for mu, off, _ in subduce(gamma)}
+@lru_cache(maxsize=None)
+def subduce_offsets(gamma: Staircase) -> Mapping[Staircase, int]:
+    """Second row -> offset map derived from :func:`subduce`, read-only."""
+    return MappingProxyType({mu: off for mu, off, _ in subduce(gamma)})
 
 
 def pattern_to_json(pattern: GTPattern) -> list[list[int]]:

@@ -18,6 +18,7 @@ Plain matrix:      mskit-matrix 1 matrix <dim>
 from __future__ import annotations
 
 import io as _io
+import itertools
 from typing import TextIO
 
 import numpy as np
@@ -43,18 +44,29 @@ def _write_rows(f: TextIO, matrix: np.ndarray) -> None:
 def _read_rows(lines: list[str], dim_rows: int, dim_cols: int) -> np.ndarray:
     if len(lines) != dim_rows:
         raise ValueError(f"expected {dim_rows} matrix rows, found {len(lines)}")
-    out = np.empty((dim_rows, dim_cols), dtype=complex)
+    # each row's 2 * dim_cols floats are parsed in one pass into a float
+    # buffer, viewed as complex: re and im of an entry sit side by side
+    out = np.empty((dim_rows, 2 * dim_cols))
+    commas = itertools.repeat(",")
     for r, line in enumerate(lines):
         parts = line.split()
         if len(parts) != dim_cols:
             raise ValueError(f"row {r}: expected {dim_cols} entries, found {len(parts)}")
         try:
-            for c, p in enumerate(parts):
-                re_s, im_s = p.split(",")
-                out[r, c] = complex(float(re_s), float(im_s))
+            if set(map(str.count, parts, commas)) != {1}:
+                raise ValueError
+            out[r] = np.fromiter(map(float, ",".join(parts).split(",")), float,
+                                 2 * dim_cols)
         except ValueError:
-            raise ValueError(f"row {r}: entry {p!r} is not a re,im pair of floats") from None
-    return out
+            for p in parts:  # the first entry that is not a re,im pair of floats
+                try:
+                    re_s, im_s = p.split(",")
+                    float(re_s), float(im_s)
+                except ValueError:
+                    raise ValueError(f"row {r}: entry {p!r} is not a re,im pair "
+                                     "of floats") from None
+            raise
+    return out.view(complex)
 
 
 def _check_cap(d: int, legs: int, cap: int) -> None:
@@ -121,7 +133,7 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
                          "ascending order, q fastest")
     matrix = _read_rows(lines[2 + size:2 + 2 * size], size, size)
     if np.abs(matrix.imag).max() == 0.0:
-        matrix = matrix.real
+        matrix = np.ascontiguousarray(matrix.real)
     return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=matrix, basis=basis)
 
 

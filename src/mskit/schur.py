@@ -17,6 +17,12 @@ weights, and SchurTransform.unitarity_residual is exact inside each sector
 and adds a Cauchy-Schwarz bound for entries between sectors, which is zero
 for a correct W.
 
+Every product against W and every check of it reads one split of W into
+its weight sector blocks (_SectorSplit), which the transform keeps after
+first use (sector_split).  The matrix build_mixed_schur returns is
+read-only so that the kept split stays valid: copy it before editing.  A
+transform whose matrix is writable, or is replaced, gets a fresh split.
+
 Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
 Q(U) (x) Id over (GT, path) indices; conjugating a walled-Brauer-diagram
@@ -62,6 +68,10 @@ class SchurTransform:
     # and factor order only, never on the entries of matrix
     _sectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # _SectorSplit of matrix, computed on first use (see sector_split); it is
+    # kept only while matrix is the same read-only array
+    _split: _SectorSplit | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._row_of is None:
@@ -93,18 +103,16 @@ class SchurTransform:
         2 max_a ||B_a|| max_a ||E_a|| + max_a ||E_a||^2 (norms of row a of B
         and of E), which covers every other contribution to W W^dagger.  For a
         correct W, E is exactly zero and the result is the true max entry.
+        B and E are the blocks and the off-sector part of sector_split(W).
         """
-        W = self.matrix
-        _, row_sector, col_sector = weight_sectors(self)
+        split = sector_split(self)
         exact = b_max = e_max = 0.0
-        for k in np.unique(row_sector):
-            rows = np.flatnonzero(row_sector == k)
-            in_k = col_sector == k
-            B = W[np.ix_(rows, np.flatnonzero(in_k))]
-            E = W[np.ix_(rows, np.flatnonzero(~in_k))]
-            exact = max(exact, float(np.abs(B @ B.conj().T - np.eye(len(rows))).max()))
-            b_max = max(b_max, float(np.linalg.norm(B, axis=1).max()))
-            e_max = max(e_max, float(np.linalg.norm(E, axis=1).max()))
+        for rows, B in zip(split.rows, split.blocks):
+            if len(rows):
+                exact = max(exact, float(np.abs(B @ B.conj().T - np.eye(len(rows))).max()))
+                b_max = max(b_max, float(np.linalg.norm(B, axis=1).max()))
+        if split.off is not None:
+            e_max = float(np.sqrt(abs(split.off).power(2).sum(axis=1).max()))
         return exact + 2 * b_max * e_max + e_max ** 2
 
 
@@ -114,6 +122,9 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
 
     factor_order is a string over '+' (defining leg) and '-' (dual leg) giving
     the kind of each tensor factor in order; default is all '+' then all '-'.
+    The returned matrix is read-only, so the transform can keep the weight
+    sector split its checks and products share (sector_split); copy it
+    before editing, and assign the copy to a transform's matrix.
     """
     if n < 0 or m < 0 or d < 1:
         raise ValueError("need n, m >= 0 and d >= 1")
@@ -160,6 +171,7 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
         path_of[(g, p)] = path
         W[len(basis):len(basis) + block.shape[1]] = block.T
         basis.extend((g, q, p) for q in range(block.shape[1]))
+    W.setflags(write=False)
     return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=W,
                           basis=basis, path_of=path_of)
 
@@ -182,22 +194,31 @@ def _factor_groups(factors: list[np.ndarray], target: int = 16) -> list[np.ndarr
     return groups
 
 
-def apply_legs(X: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+def apply_legs(X: np.ndarray, factors: list[np.ndarray], *,
+               work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Compute (factor_1 (x) ... (x) factor_k) @ X without forming the kron.
 
     Legs are fused into groups of roughly sqrt(row-count) and each group is
     applied slab by slab as contiguous GEMMs, so no transposed copies of the
-    big array are ever made.
+    big array are ever made.  work, two flat complex arrays of at least X.size
+    entries each, is used in place of two new ones; the result is then a view
+    of one of them.
     """
     if not factors:
         return X.copy()
     rows = int(np.prod([f.shape[0] for f in factors]))
     groups = _factor_groups(factors, target=max(16, int(np.sqrt(rows))))
     ncols = X.shape[1]
-    # one C-ordered copy: astype keeps the layout of a transposed X, and the
-    # reshape would then copy it a second time
-    Y = np.array(X, dtype=complex, order="C").reshape(rows * ncols)
-    buf = np.empty_like(Y)
+    if work is None:
+        work = (np.empty(rows * ncols, dtype=complex),
+                np.empty(rows * ncols, dtype=complex))
+    Y, buf = (w[:rows * ncols] for w in work)
+    # X is cast to complex and laid out in C order 32 columns at a time: a
+    # transposed view, the usual X, is then read in cache-sized strips, which
+    # takes a third of the time of one whole-array assignment at D = 4096
+    Yv = Y.reshape(rows, ncols)
+    for c in range(0, ncols, 32):
+        Yv[:, c:c + 32] = X[:, c:c + 32]
     lead = 1
     for g in groups:
         a = g.shape[0]
@@ -284,12 +305,21 @@ def _structured_residuals(W: SchurTransform, column_block, extract: str) -> Bloc
 def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
     """Residuals of W (mixed tensor of U) W^dagger against the Q (x) Id block form.
 
-    Column block sl is W times the legs of U applied to W^dagger[:, sl].
+    Column block sl is W times the legs of U applied to W^dagger[:, sl].  One
+    pair of buffers, sized for the largest label block, serves every block:
+    the legs run in both, and the product goes to the one they leave free.
     """
     factors = mixed_tensor_factors(np.asarray(U, dtype=complex), W.factor_order)
-    split = _SectorSplit(W)
-    return _structured_residuals(
-        W, lambda sl: split.matmul(apply_legs(W.matrix[sl].conj().T, factors)), "irrep")
+    split = sector_split(W)
+    entries = W.size * max(dg * mg for _, _, dg, mg in block_layout(W))
+    work = (np.empty(entries, dtype=complex), np.empty(entries, dtype=complex))
+
+    def column_block(sl):
+        Y = apply_legs(W.matrix[sl].conj().T, factors, work=work)
+        out = work[1] if np.may_share_memory(Y, work[0]) else work[0]
+        return split.matmul(Y, out=out[:Y.size].reshape(Y.shape))
+
+    return _structured_residuals(W, column_block, "irrep")
 
 
 def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> BlockDiagReport:
@@ -303,7 +333,7 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
         raise ValueError("diagram size does not match the transform")
     A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, W.size),
                          order=W.factor_order).tocsr()
-    split = _SectorSplit(W)
+    split = sector_split(W)
     return _structured_residuals(
         W, lambda sl: split.matmul(A @ W.matrix[sl].conj().T), "mult")
 
@@ -344,7 +374,8 @@ class _SectorSplit:
     their sector, zero for a built transform, are kept as one sparse matrix,
     so every product equals the dense product for any W.  The split and the
     scan for those entries are made once, here; a product then costs the sum
-    of |rows_k| |cols_k| over sectors per column of X, not D^2.
+    of |rows_k| |cols_k| over sectors per column of X, not D^2.  Get it with
+    sector_split, which keeps it on the transform.
     """
 
     def __init__(self, W: SchurTransform):
@@ -364,29 +395,57 @@ class _SectorSplit:
             r, c = r[off], c[off]
             self.off = scipy.sparse.csr_matrix((Wm[r, c], (r, c)), shape=Wm.shape)
 
-    def matmul(self, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def matmul(self, X: np.ndarray, adjoint: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
         """W X, or W^dagger X with adjoint=True.
 
         A real block meets a complex X through the float view of X, so the
-        GEMM stays real.
+        GEMM stays real.  out, a C-contiguous array of the product's shape and
+        type, receives the product in place of a new array.
         """
         X = np.ascontiguousarray(X)
         shape = X.shape
         X = X.reshape(shape[0], -1)
         Wm = self.matrix
-        out = np.zeros((Wm.shape[1] if adjoint else Wm.shape[0], X.shape[1]),
-                       dtype=np.result_type(Wm, X))
-        Xv, outv = X, out
+        if out is None:
+            out = np.empty((Wm.shape[1] if adjoint else Wm.shape[0],) + shape[1:],
+                           dtype=np.result_type(Wm, X))
+        flat = out.reshape(out.shape[0], -1)
+        Xv, outv = X, flat
         if not np.iscomplexobj(Wm) and np.iscomplexobj(X):
-            Xv, outv = X.view(float), out.view(float)
+            Xv, outv = X.view(float), flat.view(float)
         for rows, cols, B in zip(self.rows, self.cols, self.blocks):
             if adjoint:
                 outv[cols] = B.conj().T @ Xv[rows]
             else:
                 outv[rows] = B @ Xv[cols]
         if self.off is not None:
-            out += (self.off.conj().T if adjoint else self.off) @ X
-        return out.reshape((out.shape[0],) + shape[1:])
+            flat += (self.off.conj().T if adjoint else self.off) @ X
+        return out
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """True when a and every array it views are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+def sector_split(W: SchurTransform) -> _SectorSplit:
+    """The _SectorSplit of W.matrix, kept on W while that matrix stays frozen.
+
+    A split holds copies of W's entries, so it is kept only for a read-only
+    matrix (as build_mixed_schur returns) and reused only while W.matrix is
+    that same array.  A writable or reassigned matrix gets a fresh split.
+    """
+    split = W._split
+    if split is not None and split.matrix is W.matrix and _frozen(W.matrix):
+        return split
+    split = _SectorSplit(W)
+    W._split = split if _frozen(W.matrix) else None
+    return split
 
 
 def sector_matmul(W: SchurTransform, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -394,7 +453,7 @@ def sector_matmul(W: SchurTransform, X: np.ndarray, adjoint: bool = False) -> np
 
     Equal to the dense product for any W; see _SectorSplit for the cost.
     """
-    return _SectorSplit(W).matmul(X, adjoint)
+    return sector_split(W).matmul(X, adjoint)
 
 
 def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
@@ -408,17 +467,20 @@ def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
     (a, c) deviates by |W[a, c]| |e^{i w_c theta} - e^{i w_a theta}|, which
     depends on the row and column only through their weights, so the squared
     entries are summed once per (row weight, column weight) pair and each
-    trial works on that K x K table.
+    trial works on that K x K table.  Entries inside their sector deviate by
+    exactly 0, so only the off-sector part of sector_split(W) is summed.
     """
     from .rand import rng_from_seed
 
+    off = sector_split(W).off
+    if off is None:
+        return 0.0
     rng = rng_from_seed(seed)
     weights, row_sector, col_sector = weight_sectors(W)
     K = len(weights)
-    mass = np.zeros((K, K))
-    for k in np.unique(row_sector):
-        col_mass = (np.abs(W.matrix[row_sector == k]) ** 2).sum(axis=0)
-        mass[k] = np.bincount(col_sector, weights=col_mass, minlength=K)
+    off = off.tocoo()
+    mass = np.bincount(row_sector[off.row] * K + col_sector[off.col],
+                       weights=np.abs(off.data) ** 2, minlength=K * K).reshape(K, K)
     worst = 0.0
     for _ in range(trials):
         theta = rng.uniform(-np.pi, np.pi, size=W.d)

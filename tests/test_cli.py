@@ -8,6 +8,8 @@ from mskit import io as mio
 from mskit.cli import main
 from mskit.rand import random_density, rng_from_seed
 
+from test_schur import splits_made  # noqa: F401  (fixture)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -270,6 +272,17 @@ def test_ptpqp_bad_term_is_one_line_error(capsys, term):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert repr(term) in err and "coeff:pairs" in err
+
+
+def test_verify_file_keeps_one_sector_split(tmp_path, capsys, splits_made):
+    # the matrix read from the file is frozen, so every check shares a split
+    f = tmp_path / "w"
+    run(capsys, "schur", "2", "2", "2", "--out", str(f))
+    splits_made.clear()
+    code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "3")
+    assert code == 0, out
+    assert "diagram side" in out
+    assert len(splits_made) == 1
 
 
 def test_verify_file_with_complex_phases(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from mskit.gelfand import (enumerate_patterns, index_of, pattern_at,
                            pattern_from_json, pattern_to_json, pattern_weight,
-                           subduce)
+                           subduce, subduce_offsets)
 from mskit.staircase import dim, is_valid
 
 from test_staircase import all_staircases
@@ -106,6 +106,14 @@ def test_subduce_blocks():
 
     with pytest.raises(ValueError):
         subduce((1,))
+
+
+def test_subduce_offsets_is_one_read_only_mapping():
+    offsets = subduce_offsets((2, 0, -1))
+    assert dict(offsets) == {mu: off for mu, off, _ in subduce((2, 0, -1))}
+    assert subduce_offsets((2, 0, -1)) is offsets
+    with pytest.raises(TypeError):
+        offsets[(9, 9)] = 0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -152,6 +152,38 @@ def test_choi_and_matrix_cap_checked_before_reading():
     assert read_matrix(io.StringIO(rho), cap=2).shape == (2, 2)
 
 
+def test_read_schur_returns_a_contiguous_real_matrix():
+    W = build_mixed_schur(2, 1, 2)
+    R = read_schur(io.StringIO(dumps(write_schur, W)))
+    assert R.matrix.dtype == float and R.matrix.flags.c_contiguous
+    assert R.matrix.base is None  # no view that keeps a complex buffer alive
+    assert R.matrix.flags.writeable
+    assert np.array_equal(R.matrix, W.matrix)
+
+
+def test_entries_parse_as_python_floats():
+    text = "mskit-matrix 1 matrix 2\n1_0,-0.5 inf,-nan\n+1E-3,0 -0.0,1e400\n"
+    M = read_matrix(io.StringIO(text))
+    want = [[complex(10, -0.5), complex(float("inf"), float("nan"))],
+            [complex(1e-3, 0), complex(-0.0, float("inf"))]]
+    np.testing.assert_array_equal(M, want)
+    assert np.signbit(M[1, 1].real)
+
+
+@pytest.mark.parametrize("row, entry", [
+    ("1,2,3 4", "1,2,3"),       # as many commas as entries, but not one each
+    ("1,0 2", "2"),
+    ("1,0 2,3,", "2,3,"),
+    ("1,x 2,0", "1,x"),
+    ("1,0 ,2", ",2"),
+])
+def test_bad_entry_is_named(row, entry):
+    text = f"mskit-matrix 1 matrix 2\n1,0 0,0\n{row}\n"
+    with pytest.raises(ValueError) as err:
+        read_matrix(io.StringIO(text))
+    assert str(err.value) == f"row 1: entry {entry!r} is not a re,im pair of floats"
+
+
 def entry_by_entry(matrix):
     """The rows as first written: one numpy scalar per entry."""
     return "".join(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) + "\n"

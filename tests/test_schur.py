@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mskit import bratteli, brauer
+from mskit import bratteli, brauer, schur
 from mskit.bratteli import CapExceeded
+from mskit.channels import choi_to_schur, random_cptp_choi, twirl
 from mskit.rand import haar_unitary, rng_from_seed
 from mskit.schur import (build_mixed_schur, mixed_tensor_factors,
-                         parse_factor_order, ptpqp_amplitude, verify_blockdiag,
-                         verify_brauer, weight_check)
+                         parse_factor_order, ptpqp_amplitude, sector_matmul,
+                         sector_split, verify_blockdiag, verify_brauer,
+                         weight_check)
 
 from refdata import W212, W212_ORDER, row_sign_vector
 
@@ -298,3 +300,81 @@ def test_phase_varying_inside_a_block_fails_verification():
     assert B.unitarity_residual() < 1e-14  # still unitary
     U = haar_unitary(2, rng_from_seed(34))
     assert verify_blockdiag(B, U).structure_residual > 1e-3
+
+
+def test_built_matrix_is_read_only():
+    W = build_mixed_schur(2, 1, 2)
+    with pytest.raises(ValueError):
+        W.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        W.matrix *= -1
+
+
+def test_reassigned_or_replaced_matrix_gets_its_own_split():
+    W = build_mixed_schur(2, 1, 2)
+    X = rng_from_seed(41).standard_normal((W.size, 3))
+    split = sector_split(W)
+    assert sector_split(W) is split
+
+    flipped = -W.matrix  # a new, writable array: a fresh split on every call
+    V = dataclasses.replace(W, matrix=flipped)
+    assert sector_split(V) is not split
+    assert sector_split(V) is not sector_split(V)
+    assert np.allclose(sector_matmul(V, X), flipped @ X, atol=1e-15)
+    # nor is a split made while the matrix was writable kept for later
+    flipped[0] = 0.0
+    flipped.setflags(write=False)
+    assert np.allclose(sector_matmul(V, X), flipped @ X, atol=1e-15)
+
+    frozen = flipped.copy()
+    frozen.setflags(write=False)
+    W.matrix = frozen
+    kept = sector_split(W)
+    assert kept is not split and sector_split(W) is kept
+    assert np.allclose(sector_matmul(W, X), frozen @ X, atol=1e-15)
+
+    # a read-only view of a writable array can still change under the split
+    base = frozen.copy()
+    view = base[:]
+    view.setflags(write=False)
+    W.matrix = view
+    assert sector_split(W) is not sector_split(W)
+    base *= 2.0
+    assert np.allclose(sector_matmul(W, X), base @ X, atol=1e-15)
+
+
+@pytest.fixture
+def splits_made(monkeypatch):
+    """The transforms each new _SectorSplit was made for, in order."""
+    made = []
+
+    class Counting(schur._SectorSplit):
+        def __init__(self, W):
+            made.append(W)
+            super().__init__(W)
+
+    monkeypatch.setattr(schur, "_SectorSplit", Counting)
+    return made
+
+
+def test_one_sector_split_per_transform(splits_made):
+    W = build_mixed_schur(2, 2, 2)
+    assert W.unitarity_residual() < 1e-14
+    rng = rng_from_seed(42)
+    for _ in range(20):
+        rep = verify_blockdiag(W, haar_unitary(2, rng))
+        assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    for sigma in brauer.all_diagrams(2, 2):
+        rep = verify_brauer(W, sigma)
+        assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    assert weight_check(W) == 0.0
+    sector_matmul(W, np.eye(W.size), adjoint=True)
+    assert len(splits_made) == 1 and splits_made[0] is W
+
+
+def test_channel_products_share_the_split(splits_made):
+    W = build_mixed_schur(2, 1, 2, "-++")
+    J = twirl(random_cptp_choi(1, 2, 2, rng_from_seed(43)), W)
+    rep = choi_to_schur(J, W)
+    assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    assert len(splits_made) == 1 and splits_made[0] is W

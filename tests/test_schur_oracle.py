@@ -122,6 +122,42 @@ def test_weight_check_matches_dense(built, seed):
     assert abs(got - want) <= 1e-12 * want
 
 
+def dense_unitarity_bound(W):
+    """unitarity_residual's formula from dense masks: the exact residual of
+    each weight sector's diagonal block B plus 2 max ||B_a|| max ||E_a|| +
+    max ||E_a||^2, E_a the entries of row a outside its sector's columns."""
+    rows, cols = dense_weights(W)
+    exact = b_max = e_max = 0.0
+    for w in np.unique(rows, axis=0):
+        r, c = (rows == w).all(axis=1), (cols == w).all(axis=1)
+        B, E = W.matrix[np.ix_(r, c)], W.matrix[np.ix_(r, ~c)]
+        exact = max(exact, np.abs(B @ B.conj().T - np.eye(len(B))).max())
+        b_max = max(b_max, np.linalg.norm(B, axis=1).max())
+        e_max = max(e_max, np.linalg.norm(E, axis=1).max())
+    return exact + 2 * b_max * e_max + e_max ** 2
+
+
+@pytest.mark.parametrize("phased", [False, True])
+def test_checks_with_many_off_sector_entries_match_dense(built, phased):
+    """Several off-sector entries, some sharing a row, real and complex W."""
+    W, _ = built
+    if phased:
+        W = block_phased(W, 44)
+    rows, cols = dense_weights(W)
+    a_idx, c_idx = np.nonzero((rows[:, None, :] != cols[None, :, :]).any(axis=2))
+    rng = np.random.default_rng(45)
+    pick = rng.choice(len(a_idx), size=min(12, len(a_idx)), replace=False)
+    row = a_idx[pick[0]]  # and every off-sector entry of one row
+    pick = np.union1d(pick, np.flatnonzero(a_idx == row))
+    M = W.matrix.copy()
+    M[a_idx[pick], c_idx[pick]] += 1e-4 * rng.standard_normal(len(pick))
+    Wp = dataclasses.replace(W, matrix=M)
+    got, want = Wp.unitarity_residual(), dense_unitarity_bound(Wp)
+    assert want > 1e-5 and abs(got - want) <= 1e-12 * want
+    got, want = weight_check(Wp, seed=3), dense_weight_check(Wp, seed=3)
+    assert want > 1e-5 and abs(got - want) <= 1e-12 * want
+
+
 def test_unitarity_residual_matches_dense(built):
     W, _ = built
     assert abs(W.unitarity_residual() - dense_unitarity(W.matrix)) <= 1e-14
