@@ -18,9 +18,9 @@ coupling gets a row shift and one coefficient T(mu, j, mu', j'), and its
 column (q', i') moves to (q_mu' + q', i') in the U(d) numbering; the leg
 i = d adds a diagonal scaled by T(mu, j, mu', 0).  The base case d = 1 maps
 the integer c to c - 1 with coefficient 1.  Weight conservation keeps the
-triplets a small fraction of the dense size, so the recursion never makes a
-dense matrix: only the public calls below do, once, for the coupling they
-return.
+triplets a small fraction of the dense size (about 2% at d = 4, 0.2% at
+d = 8), and no coupling is ever dense: each public call packs its triplets
+once into a read-only CSR matrix (CouplingMatrix), which it returns.
 
 defining_cg(lam) realizes Q_lam (x) Q_box ~= direct sum over lam + box.  It is
 produced by bending the dual transform: the one-dimensionality of equivariant
@@ -30,14 +30,15 @@ map spaces makes
 
 an exact identity up to a global phase per block, and with the real dual
 coefficients the bent map assembles into a real unitary.  The bend moves the
-triplets of the lam block of each target's dual coupling, which is never made
-dense.  Unitarity is asserted as the exact max |S S^T - I|, from a sparse
-Gram product of the nonzeros; a failure would signal a convention bug, not a
-numerical issue.
+triplets of the lam block of each target's dual coupling.  Unitarity is
+asserted as the exact max |S S^T - I|, from a sparse Gram product of the
+CSR matrix; a failure would signal a convention bug, not a numerical issue.
 
 The triplets and the public transforms are memoized (``clear_cache`` empties
 both); cached and fresh results are the same arrays, which are read-only so
-that no caller can corrupt later transforms.
+that no caller can corrupt later transforms: the stored arrays of a
+CouplingMatrix are frozen, and item assignment on it or on a slice of it
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .gelfand import enumerate_patterns, interlacing_set, subduce_offsets
+from .gelfand import enumerate_patterns, interlacing_set, pattern_weight, subduce_offsets
 from .staircase import (Staircase, add_box_set, dim, remove_box_set, validate)
 from .wigner import reduced_wigner_table
 from .bratteli import CapExceeded
@@ -59,6 +60,28 @@ CG_DIM_CAP = 65536
 _memo: dict[tuple[str, Staircase], "CGTransform"] = {}
 _triplet_memo: dict[Staircase, "_Triplets"] = {}
 _memo_lock = threading.Lock()
+
+
+class CouplingMatrix(scipy.sparse.csr_array):
+    """A coupling unitary as a read-only CSR array.
+
+    Its data, indices and indptr arrays are frozen, so in-place arithmetic
+    raises ValueError, and so does item assignment on it or on a slice of
+    it.  A transpose shares the frozen arrays; copy() and toarray() give
+    arrays the caller may edit.
+    """
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored arrays: data, indices and indptr."""
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def __setitem__(self, key, value):
+        raise ValueError("coupling matrices are read-only")
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry, in storage order."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -72,10 +95,10 @@ class CGTransform:
     input_irrep: Staircase
     d: int
     kind: str  # "defining" | "dual"
-    matrix: np.ndarray
+    matrix: CouplingMatrix
     output_blocks: tuple[tuple[Staircase, int, int], ...]
 
-    def block(self, target: Staircase) -> np.ndarray:
+    def block(self, target: Staircase) -> CouplingMatrix:
         for g, off, size in self.output_blocks:
             if g == target:
                 return self.matrix[off:off + size]
@@ -85,10 +108,11 @@ class CGTransform:
         return _gram_residual(self.matrix)
 
 
-def _gram_residual(w: np.ndarray) -> float:
+def _gram_residual(w) -> float:
     """Exact max |W W^T - I| of a square real W; NaN if W carries a NaN.
 
-    The product is sparse, so its cost grows with the nonzeros of W.
+    W is a CSR matrix (used as it is) or a dense array.  The product is
+    sparse, so its cost grows with the nonzeros of W.
     """
     s = scipy.sparse.csr_array(w)
     g = (s @ s.T).tocoo()
@@ -117,11 +141,11 @@ def clear_cache() -> None:
         _triplet_memo.clear()
 
 
-def _dense(rows, cols, vals, n: int) -> np.ndarray:
-    """The n x n read-only matrix with the given unique entries."""
-    W = np.zeros((n, n))
-    W[rows, cols] = vals
-    W.setflags(write=False)
+def _csr(rows, cols, vals, n: int) -> CouplingMatrix:
+    """The n x n read-only CSR matrix with the given unique entries."""
+    W = CouplingMatrix((vals, (rows, cols)), shape=(n, n))
+    for x in (W.data, W.indices, W.indptr):
+        x.setflags(write=False)
     return W
 
 
@@ -136,7 +160,7 @@ def dual_cg(mu: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
     if dim(mu) * d > cap:
         raise CapExceeded(f"dim(mu) * d = {dim(mu) * d} exceeds cap {cap}")
     t = _sparse_dual(mu)
-    W = _dense(t.rows, t.cols, t.vals, dim(mu) * d)
+    W = _csr(t.rows, t.cols, t.vals, dim(mu) * d)
     out = CGTransform(mu, d, "dual", W, t.blocks)
     with _memo_lock:
         return _memo.setdefault(key, out)
@@ -259,7 +283,7 @@ def defining_cg(lam: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
         q_lam = t.rows[sl] - t.blocks[b][1]
         pieces.append((off + q_nu, q_lam * d + i, np.sqrt(dn / dlam) * t.vals[sl]))
     rows, cols, vals = (np.concatenate(x) for x in zip(*pieces))
-    W = _dense(rows, cols, vals, dlam * d)
+    W = _csr(rows, cols, vals, dlam * d)
     resid = _gram_residual(W)
     if not resid <= 1e-8:
         raise RuntimeError(
@@ -282,21 +306,16 @@ def weight_sparsity_residual(t: CGTransform) -> float:
     """Largest entry violating weight conservation; 0 for a correct transform.
 
     A defining (dual) coupling can only connect an input of weight w on leg i
-    to outputs of weight w + e_i (w - e_i).
+    to outputs of weight w + e_i (w - e_i).  Only the stored entries are
+    read, against the weight of their row and the weight their column
+    (q, i) must reach.
     """
-    from .gelfand import pattern_weight
+    def weights(g: Staircase) -> np.ndarray:
+        return np.array([pattern_weight(p) for p in enumerate_patterns(g)])
 
-    d = t.d
-    in_pats = enumerate_patterns(t.input_irrep)
-    worst = 0.0
-    for g, off, size in t.output_blocks:
-        out_pats = enumerate_patterns(g)
-        for r in range(size):
-            w_out = np.array(pattern_weight(out_pats[r]))
-            for c in range(t.matrix.shape[1]):
-                q, i = divmod(c, d)
-                w_in = np.array(pattern_weight(in_pats[q]))
-                w_in[i] += 1 if t.kind == "defining" else -1
-                if not np.array_equal(w_out, w_in):
-                    worst = max(worst, abs(t.matrix[off + r, c]))
-    return worst
+    step = 1 if t.kind == "defining" else -1
+    reach = (weights(t.input_irrep)[:, None, :] + step * np.eye(t.d, dtype=int)).reshape(-1, t.d)
+    row_weight = np.concatenate([weights(g) for g, _, _ in t.output_blocks])
+    w = t.matrix
+    bad = (row_weight[w.entry_rows()] != reach[w.indices]).any(axis=1)
+    return float(np.abs(w.data[bad]).max(initial=0.0))

@@ -155,7 +155,8 @@ def cmd_cg(args) -> int:
                    for g, off, size in t.output_blocks],
     }
     print(json.dumps(header))
-    for row in t.matrix:
+    for r in range(t.matrix.shape[0]):  # one row dense at a time
+        row = t.matrix[r:r + 1].toarray()[0]
         print(" ".join(f"{float(x)!r},0.0" for x in row))
     return 0
 

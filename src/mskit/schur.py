@@ -146,9 +146,11 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
         new_segments = []
         for g, idxs in grouped.items():
             t = cg_transform("defining" if kind == "+" else "dual", g)
-            r, dg = t.matrix.shape[0], dim(g)
-            # one GEMM over all segments: ((s, n), q) @ (q, (i, r)) -> (s, (n, i), r)
-            cg_q_ir = t.matrix.reshape(r, dg, d).transpose(1, 2, 0).reshape(dg, d * r)
+            cg, r = t.matrix, t.matrix.shape[0]
+            # one GEMM over all segments: ((s, n), q) @ (q, (i, r)) -> (s, (n, i), r);
+            # stored entry (row, q * d + i) lands at flat index (q * d + i) * r + row
+            cg_q_ir = np.zeros((dim(g), d * r))
+            cg_q_ir.ravel()[cg.indices * r + cg.entry_rows()] = cg.data
             stack = np.concatenate([segments[i][1] for i in idxs])
             out = (stack @ cg_q_ir).reshape(len(idxs), -1, r)
             for target, off, sz in t.output_blocks:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from mskit import cg
 from mskit.bratteli import CapExceeded
-from mskit.cg import (bend, cg_transform, clear_cache, defining_cg, dual_cg,
+from mskit.cg import (CGTransform, bend, cg_transform, clear_cache, defining_cg, dual_cg,
                       weight_sparsity_residual)
-from mskit.gelfand import enumerate_patterns, index_of
+from mskit.gelfand import enumerate_patterns, index_of, pattern_weight
 from mskit.staircase import add_box_set, dim, remove_box_set
 
 from test_staircase import all_staircases
@@ -27,7 +28,7 @@ def test_defining_trivial_is_identity():
     for d in (2, 3, 4):
         t = defining_cg((0,) * d)
         assert t.output_blocks == (((1,) + (0,) * (d - 1), 0, d),)
-        assert np.allclose(t.matrix, np.eye(d))
+        assert np.allclose(t.matrix.toarray(), np.eye(d))
 
 
 def test_defining_qubit_blocks():
@@ -78,13 +79,55 @@ def test_weight_conservation(gamma):
     assert weight_sparsity_residual(defining_cg(gamma)) == 0.0
 
 
+def loop_weight_residual(t):
+    """weight_sparsity_residual as a double loop over every dense entry."""
+    d = t.d
+    w = t.matrix.toarray()
+    in_pats = enumerate_patterns(t.input_irrep)
+    worst = 0.0
+    for g, off, size in t.output_blocks:
+        out_pats = enumerate_patterns(g)
+        for r in range(size):
+            w_out = np.array(pattern_weight(out_pats[r]))
+            for c in range(w.shape[1]):
+                q, i = divmod(c, d)
+                w_in = np.array(pattern_weight(in_pats[q]))
+                w_in[i] += 1 if t.kind == "defining" else -1
+                if not np.array_equal(w_out, w_in):
+                    worst = max(worst, abs(w[off + r, c]))
+    return worst
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weight_residual_matches_loop_oracle(d):
+    for g in all_staircases(d, -2, 2):
+        for t in (dual_cg(g), defining_cg(g)):
+            assert weight_sparsity_residual(t) == loop_weight_residual(t) == 0.0, (t.kind, g)
+
+
+@pytest.mark.parametrize("kind", ["dual", "defining"])
+def test_weight_residual_fails_a_mutated_entry(kind):
+    t = cg_transform(kind, (2, 0, -1))
+    w, d = t.matrix, t.d
+    # a column row 0 does not store, whose (q, i) cannot reach row 0's weight
+    step = 1 if kind == "defining" else -1
+    row0 = np.array(pattern_weight(enumerate_patterns(t.output_blocks[0][0])[0]))
+    in_pats = enumerate_patterns(t.input_irrep)
+    c = next(c for c in range(w.shape[1]) if w[0, c] == 0 and not np.array_equal(
+        np.array(pattern_weight(in_pats[c // d])) + step * np.eye(d, dtype=int)[c % d], row0))
+    bad = cg._csr(np.append(w.entry_rows(), 0), np.append(w.indices, c),
+                  np.append(w.data, 0.25), w.shape[0])
+    mutated = CGTransform(t.input_irrep, d, kind, bad, t.output_blocks)
+    assert loop_weight_residual(mutated) == weight_sparsity_residual(mutated) == 0.25
+
+
 def test_bend_block_norms():
     # rows of the defining transform that land in block nu carry total
     # Frobenius weight dim(nu) (they are dim(nu) orthonormal rows)
     for lam in [(0, 0), (1, 0), (1, 1, 0)]:
         t = defining_cg(lam)
         for nu, off, size in t.output_blocks:
-            blk = t.matrix[off:off + size]
+            blk = t.matrix[off:off + size].toarray()
             assert np.linalg.norm(blk) ** 2 == pytest.approx(dim(nu), abs=1e-10)
 
 
@@ -149,7 +192,7 @@ def test_memo_transparency():
     clear_cache()
     c = dual_cg((1, 0, -1)).matrix
     assert a is not c
-    assert np.array_equal(a, c)  # bit-identical rebuild
+    assert np.array_equal(a.toarray(), c.toarray())  # bit-identical rebuild
 
 
 def test_cap():
@@ -166,3 +209,48 @@ def test_memoized_matrices_are_read_only():
             t.matrix[0, 0] = 2.0
         with pytest.raises(ValueError):
             t.block(t.output_blocks[0][0])[0] = 0.0
+
+
+def test_sparse_memo_is_immutable():
+    clear_cache()
+    t = dual_cg((2, 1, 0, -1))
+    m = t.matrix
+    first = [x.copy() for x in (m.data, m.indices, m.indptr)]
+    target = t.output_blocks[1][0]
+    with pytest.raises(ValueError):
+        t.matrix *= 2
+    with pytest.raises(ValueError):
+        m *= 2
+    with pytest.raises(ValueError):
+        t.matrix.data[0] = 0
+    with pytest.raises(ValueError):
+        t.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        t.matrix[0, int(np.flatnonzero(m[[0]].toarray()[0] == 0)[0])] = 1.0  # not stored
+    with pytest.raises(ValueError):
+        t.block(target)[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        t.matrix.T[0, 0] = 1.0  # the transpose shares the frozen arrays
+    # copies are the caller's to edit
+    tt = t.matrix.T.copy()
+    tt.data[:] = 7.0
+    dense = t.matrix.toarray()
+    dense[:] = 7.0
+    blk = t.block(target)
+    blk.data[:] = 7.0
+    assert dual_cg((2, 1, 0, -1)) is t and t.matrix is m
+    for x, y in zip(first, (m.data, m.indices, m.indptr)):
+        assert np.array_equal(x, y)
+    assert t.unitarity_residual() < 1e-13
+    clear_cache()
+    again = dual_cg((2, 1, 0, -1)).matrix
+    assert again is not m
+    for x, y in zip(first, (again.data, again.indices, again.indptr)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_matrix_nbytes_counts_the_stored_arrays():
+    for t in (dual_cg((2, 1, 0, -1)), defining_cg((1, 1, 0, -1))):
+        m = t.matrix
+        assert m.nbytes == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        assert m.nbytes < 8 * m.shape[0] * m.shape[1] / 4

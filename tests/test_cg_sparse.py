@@ -1,5 +1,6 @@
 """The sparse triplet builder behind the coupling transforms: its memo, its
-read-only arrays, the bend on triplets and the NaN-safe unitarity check."""
+read-only arrays, the bend on triplets, the NaN-safe unitarity check and
+the memory of large builds."""
 
 import json
 import os
@@ -59,7 +60,7 @@ def test_triplets_are_unique_and_grouped_by_block():
         for b, (_, off, size) in enumerate(t.blocks):
             rows = t.rows[t.ptr[b]:t.ptr[b + 1]]
             assert ((rows >= off) & (rows < off + size)).all()
-        assert t.ptr[-1] == len(t.vals) == np.count_nonzero(dual_cg(mu).matrix)
+        assert t.ptr[-1] == len(t.vals) == np.count_nonzero(dual_cg(mu).matrix.toarray())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -70,8 +71,8 @@ def test_defining_equals_bend_of_dense_dual_blocks(d):
     for lam in lams:
         t = defining_cg(lam)
         for nu, off, dn in t.output_blocks:
-            expected = bend(dual_cg(nu).block(lam), dn, dim(lam), len(lam))
-            assert np.array_equal(t.matrix[off:off + dn], expected), (lam, nu)
+            expected = bend(dual_cg(nu).block(lam).toarray(), dn, dim(lam), len(lam))
+            assert np.array_equal(t.matrix[off:off + dn].toarray(), expected), (lam, nu)
 
 
 @pytest.mark.parametrize("n", [4, 200])
@@ -153,4 +154,30 @@ def test_nested_coupling_builds_under_one_gigabyte():
     got = json.loads(out.stdout)
     assert got["shape"] == [5760, 5760]
     assert got["probe"] < 1e-10
+    assert got["maxrss_kb"] < 1024 ** 2
+
+
+WIDE = """
+import json
+from mskit.cg import dual_cg, weight_sparsity_residual
+t = dual_cg((2,) + (0,) * 14 + (-1,))
+res = {"shape": list(t.matrix.shape), "unitarity": t.unitarity_residual(),
+       "weight": weight_sparsity_residual(t)}
+with open("/proc/self/status") as f:
+    res["maxrss_kb"] = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+print(json.dumps(res))
+"""
+
+
+def test_d16_coupling_builds_under_one_gigabyte():
+    # 34,560^2 entries (9.6 GB) if it were dense
+    src = str(pathlib.Path(mskit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", WIDE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+                              "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+                         timeout=300, check=True)
+    got = json.loads(out.stdout)
+    assert got["shape"] == [34560, 34560]
+    assert got["unitarity"] <= 1e-12
+    assert got["weight"] == 0.0
     assert got["maxrss_kb"] < 1024 ** 2

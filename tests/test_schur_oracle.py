@@ -42,7 +42,7 @@ def einsum_cascade(n, m, d, order):
         for g, idxs in grouped.items():
             t = cg_transform("defining" if kind == "+" else "dual", g)
             stack = np.stack([segments[i][1] for i in idxs])
-            cube = t.matrix.reshape(t.matrix.shape[0], dim(g), d)
+            cube = t.matrix.toarray().reshape(t.matrix.shape[0], dim(g), d)
             out = np.einsum("rqi,sqn->srni", cube, stack)
             out = out.reshape(len(idxs), t.matrix.shape[0], -1)
             for target, off, sz in t.output_blocks:
