@@ -30,6 +30,13 @@ class CapExceeded(ValueError):
     """Requested construction is larger than the configured dimension cap."""
 
 
+def check_cap(d: int, legs: int, cap: int) -> None:
+    """Raise CapExceeded when d^legs > cap, without computing a huge power."""
+    # d >= 2 and legs >= cap.bit_length() already exceed the cap
+    if (d > 1 and legs >= cap.bit_length()) or d ** legs > cap:
+        raise CapExceeded(f"d^(n+m) = {d}^{legs} exceeds cap {cap}")
+
+
 def standard_types(n: int, m: int) -> tuple[int, ...]:
     return (1,) * n + (-1,) * m
 
@@ -146,8 +153,7 @@ def census(n: int, m: int, d: int, cap: int = DEFAULT_CAP) -> list[tuple[Stairca
 
     The identity sum(dim * mult) == d**(n+m) is asserted.
     """
-    if d ** (n + m) > cap:
-        raise CapExceeded(f"d^(n+m) = {d**(n+m)} exceeds cap {cap}")
+    check_cap(d, n + m, cap)
     diagram = build(n, m, d)
     counts = path_counts(diagram)
     out = [(g, dim(g), counts[g]) for g in sorted(counts)]

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .bratteli import check_cap
+
 
 @dataclass(frozen=True)
 class WalledBrauerDiagram:
@@ -198,9 +200,8 @@ def represent(sigma: WalledBrauerDiagram, d: int, cap: int = 4096,
     The default, all '+' then all '-', keeps columns and legs in one order.
     """
     N = sigma.size
+    check_cap(d, N, cap)
     dim = d ** N
-    if dim > cap:
-        raise ValueError(f"d^(n+m) = {dim} exceeds cap {cap}")
     legs = list(range(N))
     if order is not None:
         if sorted(order) != sorted("+" * sigma.n + "-" * sigma.m):

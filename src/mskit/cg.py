@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
-from .gelfand import enumerate_patterns, interlacing_set, pattern_weight, subduce_offsets
+from .gelfand import interlacing_set, pattern_weights, subduce_offsets
 from .staircase import (Staircase, add_box_set, dim, remove_box_set, validate)
 from .wigner import reduced_wigner_table
 from .bratteli import CapExceeded
@@ -310,12 +310,10 @@ def weight_sparsity_residual(t: CGTransform) -> float:
     read, against the weight of their row and the weight their column
     (q, i) must reach.
     """
-    def weights(g: Staircase) -> np.ndarray:
-        return np.array([pattern_weight(p) for p in enumerate_patterns(g)])
-
     step = 1 if t.kind == "defining" else -1
-    reach = (weights(t.input_irrep)[:, None, :] + step * np.eye(t.d, dtype=int)).reshape(-1, t.d)
-    row_weight = np.concatenate([weights(g) for g, _, _ in t.output_blocks])
+    reach = (pattern_weights(t.input_irrep)[:, None, :]
+             + step * np.eye(t.d, dtype=np.int64)).reshape(-1, t.d)
+    row_weight = np.concatenate([pattern_weights(g) for g, _, _ in t.output_blocks])
     w = t.matrix
     bad = (row_weight[w.entry_rows()] != reach[w.indices]).any(axis=1)
     return float(np.abs(w.data[bad]).max(initial=0.0))

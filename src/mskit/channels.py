@@ -44,9 +44,8 @@ import numpy as np
 
 from .bratteli import DEFAULT_CAP
 from .rand import rng_from_seed
-from .schur import (SchurTransform, _structured_residuals, block_layout,
-                    build_mixed_schur, sector_split)
-from .staircase import Staircase
+from .schur import (BlockDiagReport, SchurTransform, _structured_residuals,
+                    block_layout, build_mixed_schur)
 
 # Entries of J in one row chunk of is_equivariant: 512 KB of complex data,
 # small enough to stay in cache while all 2(n+m) legs of a generator act.
@@ -168,13 +167,6 @@ def is_equivariant(J: ChoiMatrix, tol: float = 1e-10) -> tuple[bool, float]:
     return worst < tol, worst
 
 
-@dataclass
-class SchurBlockReport:
-    off_block_residual: float
-    structure_residual: float
-    multiplicity_blocks: dict[Staircase, np.ndarray]
-
-
 def _check_transform(J: ChoiMatrix, W: SchurTransform) -> None:
     if W.size != J.size or (W.n, W.m, W.d) != (J.n_out, J.m_in, J.d):
         raise ValueError("transform does not match the Choi matrix shape")
@@ -183,7 +175,7 @@ def _check_transform(J: ChoiMatrix, W: SchurTransform) -> None:
                          f"(factor order {'-' * J.m_in + '+' * J.n_out!r})")
 
 
-def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> SchurBlockReport:
+def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> BlockDiagReport:
     """Blocks of W J W^dagger; small residuals certify equivariance of J.
 
     For an equivariant Choi matrix the conjugated matrix vanishes between
@@ -193,12 +185,11 @@ def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> SchurBlockReport:
     is W K[sl]^dagger, another, so W J W^dagger is never held whole.
     """
     _check_transform(J, W)
-    split = sector_split(W)
+    split = W.split
     # np.conjugate with order="C" transposes and conjugates in one pass
     K = split.matmul(np.conjugate(J.matrix.T, order="C"))
-    rep = _structured_residuals(
+    return _structured_residuals(
         W, lambda sl: split.matmul(np.conjugate(K[sl].T, order="C")), "mult")
-    return SchurBlockReport(rep.off_block_residual, rep.structure_residual, rep.blocks)
 
 
 def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
@@ -211,7 +202,7 @@ def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
     D x D product against W is formed.
     """
     _check_transform(J, W)
-    split = sector_split(W)
+    split = W.split
     WJ = split.matmul(J.matrix)
     Z = np.empty_like(WJ)
     for _, start, dg, mg in block_layout(W):
@@ -391,20 +382,17 @@ def _teleport_branches(J: ChoiMatrix, rho: np.ndarray) -> tuple[list[np.ndarray]
     return branches, probs
 
 
-def m2_success_probability(d: int, verify: bool | None = None) -> Fraction:
+def m2_success_probability(d: int) -> Fraction:
     """Success probability (d-1)/(2d) of the two-input probabilistic POVM.
 
-    Unless verify is False (default: verify for d <= 8), also builds the POVM
-    element
+    For d <= 8, also builds the POVM element
         M = C/(d^2 (d^2-1)) (Id + S(x)S - (S(x)Id + Id(x)S)/d),  C = d^3(d-1)/2,
     with S the swap on each register pair, and verifies ||M|| <= 1 and that
     the acceptance probability on any input equals C/d^4.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if verify is None:
-        verify = d <= 8
-    if not verify:
+    if d > 8:
         return Fraction(d - 1, 2 * d)
     swap = np.zeros((d * d, d * d))
     for i in range(d):

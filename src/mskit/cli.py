@@ -58,7 +58,6 @@ def cmd_verify(args) -> int:
     if args.file:
         with open(args.file) as f:
             W = mio.read_schur(f, cap=_cap(args))
-        W.matrix.setflags(write=False)  # lets W keep its sector split
     else:
         W = schur.build_mixed_schur(args.n, args.m, args.d, args.order, cap=_cap(args))
     tol = args.tol
@@ -180,6 +179,7 @@ def _parse_term(text: str, n: int, m: int):
 
 
 def cmd_ptpqp(args) -> int:
+    bratteli.check_cap(args.d, args.n + args.m, _cap(args))
     terms = []
     for spec_ in args.term:
         coeff, sigma = _parse_term(spec_, args.n, args.m)

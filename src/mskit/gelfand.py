@@ -24,6 +24,8 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
+import numpy as np
+
 from .staircase import Staircase, dim, interlaces, validate
 
 GTPattern = tuple[tuple[int, ...], ...]
@@ -86,6 +88,28 @@ def pattern_weight(pattern: GTPattern) -> tuple[int, ...]:
     for row in pattern:
         sums[len(row)] = sum(row)
     return tuple(sums[k] - sums[k - 1] for k in range(1, d + 1))
+
+
+@lru_cache(maxsize=None)
+def pattern_weights(gamma: Staircase) -> np.ndarray:
+    """Read-only int64 array of shape (dim(gamma), d): row k is the
+    pattern_weight of enumerate_patterns(gamma)[k].
+
+    Built from the second rows down, as the patterns are: the patterns with
+    second row mu' are those of mu' under gamma, in their canonical order, in
+    the order of interlacing_set(gamma), and each adds the weight entry
+    sum(gamma) - sum(mu') to the weights of mu'.
+    """
+    gamma = validate(gamma)
+    if len(gamma) == 1:
+        out = np.array([gamma], dtype=np.int64)
+    else:
+        out = np.concatenate([
+            np.column_stack([pattern_weights(mu),
+                             np.full(dim(mu), sum(gamma) - sum(mu), dtype=np.int64)])
+            for mu in interlacing_set(gamma)])
+    out.setflags(write=False)
+    return out
 
 
 def index_of(pattern: GTPattern) -> int:

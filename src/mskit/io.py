@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bratteli import DEFAULT_CAP, CapExceeded
+from .bratteli import DEFAULT_CAP, CapExceeded, check_cap
 from .channels import ChoiMatrix
 from .schur import SchurTransform, parse_factor_order
 from .staircase import dim, format_staircase, parse_staircase
@@ -44,9 +44,10 @@ def _write_rows(f: TextIO, matrix: np.ndarray) -> None:
 def _read_rows(lines: list[str], dim_rows: int, dim_cols: int) -> np.ndarray:
     if len(lines) != dim_rows:
         raise ValueError(f"expected {dim_rows} matrix rows, found {len(lines)}")
-    # each row's 2 * dim_cols floats are parsed in one pass into a float
-    # buffer, viewed as complex: re and im of an entry sit side by side
-    out = np.empty((dim_rows, 2 * dim_cols))
+    # each row's 2 * dim_cols floats are parsed in one pass into the float
+    # view of the complex result: re and im of an entry sit side by side
+    matrix = np.empty((dim_rows, dim_cols), dtype=complex)
+    out = matrix.view(float)
     commas = itertools.repeat(",")
     for r, line in enumerate(lines):
         parts = line.split()
@@ -66,14 +67,7 @@ def _read_rows(lines: list[str], dim_rows: int, dim_cols: int) -> np.ndarray:
                     raise ValueError(f"row {r}: entry {p!r} is not a re,im pair "
                                      "of floats") from None
             raise
-    return out.view(complex)
-
-
-def _check_cap(d: int, legs: int, cap: int) -> None:
-    """Raise CapExceeded when d^legs > cap, without computing a huge power."""
-    # d >= 2 and legs >= cap.bit_length() already exceed the cap
-    if (d > 1 and legs >= cap.bit_length()) or d ** legs > cap:
-        raise CapExceeded(f"d^(n+m) = {d}^{legs} exceeds cap {cap}")
+    return matrix
 
 
 def _header_sizes(lines: list[str], kind: str, count: int) -> list[int]:
@@ -113,7 +107,7 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     n, m, d = (int(x) for x in head[2:])
     if n < 0 or m < 0 or d < 1:
         raise ValueError(f"bad header: {header!r} needs n, m >= 0 and d >= 1")
-    _check_cap(d, n + m, cap)
+    check_cap(d, n + m, cap)
     size = d ** (n + m)
     if len(lines) < 2:
         raise ValueError("missing factor order line")
@@ -168,7 +162,7 @@ def read_choi(f: TextIO, cap: int = DEFAULT_CAP) -> ChoiMatrix:
     m, n, d = _header_sizes(lines, "choi", 3)
     if m < 0 or n < 0 or d < 1:
         raise ValueError(f"bad header: {lines[0]!r} needs m, n >= 0 and d >= 1")
-    _check_cap(d, m + n, cap)
+    check_cap(d, m + n, cap)
     size = d ** (m + n)
     return ChoiMatrix(n_out=n, m_in=m, d=d, matrix=_read_rows(lines[1:], size, size))
 

@@ -17,11 +17,11 @@ weights, and SchurTransform.unitarity_residual is exact inside each sector
 and adds a Cauchy-Schwarz bound for entries between sectors, which is zero
 for a correct W.
 
-Every product against W and every check of it reads one split of W into
-its weight sector blocks (_SectorSplit), which the transform keeps after
-first use (sector_split).  The matrix build_mixed_schur returns is
-read-only so that the kept split stays valid: copy it before editing.  A
-transform whose matrix is writable, or is replaced, gets a fresh split.
+A SchurTransform is an immutable value: it owns its matrix, which is
+read-only, and derives its row index, weight sectors (W.sectors) and the
+split of W into weight sector blocks (W.split) once, on first use.  Every
+product against W and every check of it reads that one split.  A transform
+with another matrix is a new value, made with dataclasses.replace.
 
 Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
@@ -35,14 +35,15 @@ no D x D complex matrix is held.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
 from . import brauer
-from .bratteli import DEFAULT_CAP, CapExceeded
+from .bratteli import DEFAULT_CAP, check_cap
 from .cg import cg_transform
-from .gelfand import enumerate_patterns, pattern_weight
+from .gelfand import pattern_weights
 from .staircase import Staircase, dim
 
 def parse_factor_order(order: str, n: int, m: int) -> str:
@@ -52,8 +53,15 @@ def parse_factor_order(order: str, n: int, m: int) -> str:
     return order
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchurTransform:
+    """The unitary W with one (staircase, GT index, path index) label per row.
+
+    The transform owns matrix and makes it read-only; a view of another
+    array is copied first, so no other array can change W.  The values
+    derived from W are cached properties, computed once per transform.
+    """
+
     n: int
     m: int
     d: int
@@ -63,27 +71,34 @@ class SchurTransform:
     # vertex sequence of the tower path behind each multiplicity label
     path_of: dict[tuple[Staircase, int], tuple[Staircase, ...]] = field(
         default=None, repr=False)
-    _row_of: dict[tuple[Staircase, int, int], int] = field(default=None, repr=False)
-    # weight_sectors result, computed on first use; it depends on the labels
-    # and factor order only, never on the entries of matrix
-    _sectors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # _SectorSplit of matrix, computed on first use (see sector_split); it is
-    # kept only while matrix is the same read-only array
-    _split: _SectorSplit | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._row_of is None:
-            self._row_of = {lab: k for k, lab in enumerate(self.basis)}
+        matrix = self.matrix
+        if matrix.base is not None:
+            matrix = matrix.copy()
+            object.__setattr__(self, "matrix", matrix)
+        matrix.setflags(write=False)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def row_of(self) -> dict[tuple[Staircase, int, int], int]:
+        return {lab: k for k, lab in enumerate(self.basis)}
+
+    @cached_property
+    def sectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return weight_sectors(self)
+
+    @cached_property
+    def split(self) -> _SectorSplit:
+        """matrix split into its weight sector blocks, for products against W."""
+        return _SectorSplit(self)
+
     def row_index(self, gamma: Staircase, q: int, p: int) -> int:
         try:
-            return self._row_of[(tuple(gamma), q, p)]
+            return self.row_of[(tuple(gamma), q, p)]
         except KeyError:
             raise ValueError(f"no basis label ({gamma}, q={q}, p={p})") from None
 
@@ -103,9 +118,9 @@ class SchurTransform:
         2 max_a ||B_a|| max_a ||E_a|| + max_a ||E_a||^2 (norms of row a of B
         and of E), which covers every other contribution to W W^dagger.  For a
         correct W, E is exactly zero and the result is the true max entry.
-        B and E are the blocks and the off-sector part of sector_split(W).
+        B and E are the blocks and the off-sector part of W.split.
         """
-        split = sector_split(self)
+        split = self.split
         exact = b_max = e_max = 0.0
         for rows, B in zip(split.rows, split.blocks):
             if len(rows):
@@ -122,15 +137,11 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
 
     factor_order is a string over '+' (defining leg) and '-' (dual leg) giving
     the kind of each tensor factor in order; default is all '+' then all '-'.
-    The returned matrix is read-only, so the transform can keep the weight
-    sector split its checks and products share (sector_split); copy it
-    before editing, and assign the copy to a transform's matrix.
     """
     if n < 0 or m < 0 or d < 1:
         raise ValueError("need n, m >= 0 and d >= 1")
+    check_cap(d, n + m, cap)
     size = d ** (n + m)
-    if size > cap:
-        raise CapExceeded(f"d^(n+m) = {size} exceeds cap {cap}")
     order = "+" * n + "-" * m if factor_order is None else parse_factor_order(factor_order, n, m)
 
     # segments: vertex path -> transposed block of W, one column per GT pattern
@@ -173,7 +184,6 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
         path_of[(g, p)] = path
         W[len(basis):len(basis) + block.shape[1]] = block.T
         basis.extend((g, q, p) for q in range(block.shape[1]))
-    W.setflags(write=False)
     return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=W,
                           basis=basis, path_of=path_of)
 
@@ -197,23 +207,19 @@ def _factor_groups(factors: list[np.ndarray], target: int = 16) -> list[np.ndarr
 
 
 def apply_legs(X: np.ndarray, factors: list[np.ndarray], *,
-               work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+               work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Compute (factor_1 (x) ... (x) factor_k) @ X without forming the kron.
 
     Legs are fused into groups of roughly sqrt(row-count) and each group is
     applied slab by slab as contiguous GEMMs, so no transposed copies of the
-    big array are ever made.  work, two flat complex arrays of at least X.size
-    entries each, is used in place of two new ones; the result is then a view
-    of one of them.
+    big array are ever made.  work is two flat complex arrays of at least
+    X.size entries each; the result is a view of one of them.
     """
     if not factors:
         return X.copy()
     rows = int(np.prod([f.shape[0] for f in factors]))
     groups = _factor_groups(factors, target=max(16, int(np.sqrt(rows))))
     ncols = X.shape[1]
-    if work is None:
-        work = (np.empty(rows * ncols, dtype=complex),
-                np.empty(rows * ncols, dtype=complex))
     Y, buf = (w[:rows * ncols] for w in work)
     # X is cast to complex and laid out in C order 32 columns at a time: a
     # transposed view, the usual X, is then read in cache-sized strips, which
@@ -312,7 +318,7 @@ def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
     the legs run in both, and the product goes to the one they leave free.
     """
     factors = mixed_tensor_factors(np.asarray(U, dtype=complex), W.factor_order)
-    split = sector_split(W)
+    split = W.split
     entries = W.size * max(dg * mg for _, _, dg, mg in block_layout(W))
     work = (np.empty(entries, dtype=complex), np.empty(entries, dtype=complex))
 
@@ -335,7 +341,7 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
         raise ValueError("diagram size does not match the transform")
     A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, W.size),
                          order=W.factor_order).tocsr()
-    split = sector_split(W)
+    split = W.split
     return _structured_residuals(
         W, lambda sl: split.matmul(A @ W.matrix[sl].conj().T), "mult")
 
@@ -348,13 +354,12 @@ def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarra
     weights of the weight of row a's GT pattern, and col_sector[c] that of
     basis state c, which gains +e_i for value i on a '+' leg and -e_i on a
     '-' leg.  A correct W is zero wherever row_sector[a] != col_sector[c].
-    The arrays are computed once per transform and are read-only.
+    The arrays are read-only; W.sectors keeps them on the transform.
     """
-    if W._sectors is not None:
-        return W._sectors
-    patterns = {g: [pattern_weight(pat) for pat in enumerate_patterns(g)]
-                for g in {g for g, _, _ in W.basis}}
-    row_w = np.array([patterns[g][q] for g, q, _ in W.basis], dtype=np.int64)
+    gammas = sorted({g for g, _, _ in W.basis})
+    table = np.concatenate([pattern_weights(g) for g in gammas])
+    start = dict(zip(gammas, np.cumsum([0] + [dim(g) for g in gammas])))
+    row_w = table[[start[g] + q for g, q, _ in W.basis]]
     col_w = np.zeros((W.size, W.d), dtype=np.int64)
     cols = np.arange(W.size)
     reps = W.size
@@ -363,10 +368,9 @@ def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarra
         col_w[cols, (cols // reps) % W.d] += 1 if kind == "+" else -1
     weights, sector = np.unique(np.vstack([row_w, col_w]), axis=0, return_inverse=True)
     sector = sector.reshape(-1)
-    W._sectors = (weights, sector[:W.size].copy(), sector[W.size:].copy())
-    for a in W._sectors:
+    for a in (weights, sector):
         a.setflags(write=False)
-    return W._sectors
+    return weights, sector[:W.size], sector[W.size:]
 
 
 class _SectorSplit:
@@ -376,13 +380,13 @@ class _SectorSplit:
     their sector, zero for a built transform, are kept as one sparse matrix,
     so every product equals the dense product for any W.  The split and the
     scan for those entries are made once, here; a product then costs the sum
-    of |rows_k| |cols_k| over sectors per column of X, not D^2.  Get it with
-    sector_split, which keeps it on the transform.
+    of |rows_k| |cols_k| over sectors per column of X, not D^2.  W.split
+    keeps the one split of each transform.
     """
 
     def __init__(self, W: SchurTransform):
         self.matrix = Wm = W.matrix
-        weights, row_sector, col_sector = weight_sectors(W)
+        weights, row_sector, col_sector = W.sectors
         self.rows, self.cols = (
             np.split(np.argsort(s, kind="stable"),
                      np.cumsum(np.bincount(s, minlength=len(weights)))[:-1])
@@ -426,38 +430,6 @@ class _SectorSplit:
         return out
 
 
-def _frozen(a: np.ndarray) -> bool:
-    """True when a and every array it views are read-only."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return True
-
-
-def sector_split(W: SchurTransform) -> _SectorSplit:
-    """The _SectorSplit of W.matrix, kept on W while that matrix stays frozen.
-
-    A split holds copies of W's entries, so it is kept only for a read-only
-    matrix (as build_mixed_schur returns) and reused only while W.matrix is
-    that same array.  A writable or reassigned matrix gets a fresh split.
-    """
-    split = W._split
-    if split is not None and split.matrix is W.matrix and _frozen(W.matrix):
-        return split
-    split = _SectorSplit(W)
-    W._split = split if _frozen(W.matrix) else None
-    return split
-
-
-def sector_matmul(W: SchurTransform, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """W.matrix @ X, or W.matrix^dagger @ X with adjoint=True, by weight sector.
-
-    Equal to the dense product for any W; see _SectorSplit for the cost.
-    """
-    return sector_split(W).matmul(X, adjoint)
-
-
 def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
     """GT adaptation test: diagonal unitaries must act by the pattern weights.
 
@@ -470,15 +442,15 @@ def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
     depends on the row and column only through their weights, so the squared
     entries are summed once per (row weight, column weight) pair and each
     trial works on that K x K table.  Entries inside their sector deviate by
-    exactly 0, so only the off-sector part of sector_split(W) is summed.
+    exactly 0, so only the off-sector part of W.split is summed.
     """
     from .rand import rng_from_seed
 
-    off = sector_split(W).off
+    off = W.split.off
     if off is None:
         return 0.0
     rng = rng_from_seed(seed)
-    weights, row_sector, col_sector = weight_sectors(W)
+    weights, row_sector, col_sector = W.sectors
     K = len(weights)
     off = off.tocoo()
     mass = np.bincount(row_sector[off.row] * K + col_sector[off.col],

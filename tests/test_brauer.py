@@ -6,6 +6,7 @@ import pytest
 from mskit.brauer import (WalledBrauerDiagram, all_diagrams, compose, dagger,
                           format_diagram, from_permutation, identity,
                           parse_diagram, partial_transpose, represent)
+from mskit.bratteli import CapExceeded
 from mskit.rand import haar_unitary, rng_from_seed
 
 
@@ -173,5 +174,5 @@ def test_fig_delta_pattern():
 
 
 def test_represent_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded):
         represent(identity(3, 3), 5, cap=4096)

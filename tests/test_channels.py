@@ -129,7 +129,7 @@ def test_choi_to_schur_depolarizing():
     rep = choi_to_schur(J, W)
     assert rep.off_block_residual < 1e-12
     assert rep.structure_residual < 1e-12
-    for g, X in rep.multiplicity_blocks.items():
+    for g, X in rep.blocks.items():
         assert np.abs(X - X[0, 0] * np.eye(X.shape[0])).max() < 1e-12
 
 
@@ -221,6 +221,6 @@ def test_m2_success_probability():
     assert m2_success_probability(3) == Fraction(1, 3)
     assert m2_success_probability(4) == Fraction(3, 8)
     # large-d limit is 1/2
-    assert abs(float(m2_success_probability(5000, verify=False)) - 0.5) < 1e-3
+    assert abs(float(m2_success_probability(5000)) - 0.5) < 1e-3
     with pytest.raises(ValueError):
         m2_success_probability(1)

@@ -20,8 +20,7 @@ from mskit.channels import (ChoiMatrix, _teleport_branches, choi_of_map,
                             random_cptp_choi, random_equivariant_choi,
                             teleport_apply, twirl, weyl_operator)
 from mskit.rand import haar_unitary, random_density, rng_from_seed
-from mskit.schur import (_structured_residuals, block_fits, build_mixed_schur,
-                         sector_matmul, weight_sectors)
+from mskit.schur import _structured_residuals, block_fits, build_mixed_schur
 
 from test_schur import block_phased
 from test_schur_oracle import off_weight_copy
@@ -186,9 +185,9 @@ def test_choi_to_schur_and_twirl_match_dense(n, d):
         rep, want = choi_to_schur(Jx, W), dense_choi_to_schur(Jx, W)
         assert abs(rep.off_block_residual - want.off_block_residual) < 1e-12
         assert abs(rep.structure_residual - want.structure_residual) < 1e-12
-        assert rep.multiplicity_blocks.keys() == want.blocks.keys()
+        assert rep.blocks.keys() == want.blocks.keys()
         for g, X in want.blocks.items():
-            assert np.abs(rep.multiplicity_blocks[g] - X).max() < 1e-12
+            assert np.abs(rep.blocks[g] - X).max() < 1e-12
     # a raw random channel is far from the commutant, its twirl is in it
     assert dense_choi_to_schur(J, W).off_block_residual > 1e-4
     assert dense_choi_to_schur(twirled, W).off_block_residual < 1e-12
@@ -201,7 +200,7 @@ def test_choi_to_schur_and_twirl_match_dense(n, d):
         assert abs(rep.off_block_residual - want.off_block_residual) < 1e-12
         assert abs(rep.structure_residual - want.structure_residual) < 1e-12
         for g, X in want.blocks.items():
-            assert np.abs(rep.multiplicity_blocks[g] - X).max() < 1e-12
+            assert np.abs(rep.blocks[g] - X).max() < 1e-12
 
 
 SECTOR_SHAPES = [(1, 1, 2, "-+"), (2, 1, 2, "-++"), (2, 2, 3, "+--+"),
@@ -226,24 +225,25 @@ def test_sector_matmul_matches_dense(shape):
     X_complex = X_real + 1j * rng.standard_normal((W.size, 7))
     for name, V in variants.items():
         for X in (X_real, X_complex, X_complex[:, 0]):
-            got, want = sector_matmul(V, X), V.matrix @ X
+            got, want = V.split.matmul(X), V.matrix @ X
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() < 1e-13, name
-            got = sector_matmul(V, X, adjoint=True)
+            got = V.split.matmul(X, adjoint=True)
             assert np.abs(got - V.matrix.conj().T @ X).max() < 1e-13, name
 
 
 def test_weight_sectors_computed_once_and_read_only():
     W = build_mixed_schur(2, 1, 3, "-++")
-    first = weight_sectors(W)
-    assert weight_sectors(W) is first
+    first = W.sectors
+    assert W.sectors is first
     for a in first:
         assert not a.flags.writeable
     # a copy with other entries keeps the labels, so its sectors are equal,
     # but it computes them for itself
     V = off_weight_copy(W, 0)
-    assert V._sectors is None
-    assert all(np.array_equal(a, b) for a, b in zip(weight_sectors(V), first))
+    assert "sectors" not in vars(V)
+    assert V.sectors is not first
+    assert all(np.array_equal(a, b) for a, b in zip(V.sectors, first))
 
 
 # -- the generator test of is_equivariant against Haar commutators ----------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -39,6 +40,19 @@ def test_census_cap_exit_code(capsys):
     code, _, err = run(capsys, "census", "8", "8", "3")
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "100000000", "0", "2"],
+    ["schur", "100000000", "0", "2"],
+    ["verify", "100000000", "0", "2"],
+    ["ptpqp", "100000000", "0", "2", "--term", "1:t1-b1", "--time", "1",
+     "--from", "[1,0]:0:0", "--to", "[1,0]:0:0"],
+], ids=lambda argv: argv[0])
+def test_huge_sizes_fail_the_cap_check_at_once(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "exceeds cap" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -288,7 +302,7 @@ def test_ptpqp_bad_term_is_one_line_error(capsys, term):
 
 
 def test_verify_file_keeps_one_sector_split(tmp_path, capsys, splits_made):
-    # the matrix read from the file is frozen, so every check shares a split
+    # every check of the transform read from the file shares its split
     f = tmp_path / "w"
     run(capsys, "schur", "2", "2", "2", "--out", str(f))
     splits_made.clear()
@@ -308,13 +322,14 @@ def test_verify_file_with_complex_phases(tmp_path, capsys):
     theta = {}
     phases = np.array([np.exp(1j * theta.setdefault((g, p), rng.uniform(-np.pi, np.pi)))
                        for g, _, p in W.basis])
-    W.matrix = phases[:, None] * W.matrix
+    W = dataclasses.replace(W, matrix=phases[:, None] * W.matrix)
     f.write_text(mio.dumps(mio.write_schur, W))
     code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "5")
     assert code == 0, out
     assert "FAIL" not in out
-    W.matrix[W.row_index((1, 0), 1, 0)] *= np.exp(0.7j)
-    f.write_text(mio.dumps(mio.write_schur, W))
+    bad = W.matrix.copy()
+    bad[W.row_index((1, 0), 1, 0)] *= np.exp(0.7j)
+    f.write_text(mio.dumps(mio.write_schur, dataclasses.replace(W, matrix=bad)))
     code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "5")
     assert code == 1
     lines = dict(line.split(": ", 1) for line in out.splitlines())

@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from mskit.gelfand import (enumerate_patterns, index_of, pattern_at,
                            pattern_from_json, pattern_to_json, pattern_weight,
-                           subduce, subduce_offsets)
+                           pattern_weights, subduce, subduce_offsets)
 from mskit.staircase import dim, is_valid
 
 from test_staircase import all_staircases
@@ -61,6 +62,19 @@ def test_weights():
     assert pattern_weight(((2, -1), (0,))) == (0, 1)
     assert pattern_weight(((1, 0), (1,))) == (1, 0)
     assert pattern_weight(((0, 0), (0,))) == (0, 0)
+
+
+@pytest.mark.parametrize("gammas", [
+    [g for d in range(1, 5) for g in all_staircases(d, -3, 3)],
+    [(2,) + (0,) * 14 + (-1,)]], ids=["d<=4", "d=16"])
+def test_pattern_weights_match_per_pattern(gammas):
+    for gamma in gammas:
+        table = pattern_weights(gamma)
+        want = np.array([pattern_weight(p) for p in enumerate_patterns(gamma)])
+        assert table.dtype == np.int64 and table.shape == (dim(gamma), len(gamma))
+        assert np.array_equal(table, want), gamma
+        assert not table.flags.writeable
+        assert pattern_weights(gamma) is table
 
 
 def test_weight_sum_is_box_count():

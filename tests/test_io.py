@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -157,8 +158,13 @@ def test_read_schur_returns_a_contiguous_real_matrix():
     R = read_schur(io.StringIO(dumps(write_schur, W)))
     assert R.matrix.dtype == float and R.matrix.flags.c_contiguous
     assert R.matrix.base is None  # no view that keeps a complex buffer alive
-    assert R.matrix.flags.writeable
+    assert not R.matrix.flags.writeable
     assert np.array_equal(R.matrix, W.matrix)
+    # a complex file is parsed in place into the matrix the transform owns
+    phased = dataclasses.replace(W, matrix=W.matrix * 1j)
+    C = read_schur(io.StringIO(dumps(write_schur, phased)))
+    assert C.matrix.dtype == complex and C.matrix.base is None
+    assert np.array_equal(C.matrix, phased.matrix)
 
 
 def test_entries_parse_as_python_floats():

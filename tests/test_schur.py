@@ -10,9 +10,8 @@ from mskit.bratteli import CapExceeded
 from mskit.channels import choi_to_schur, random_cptp_choi, twirl
 from mskit.rand import haar_unitary, rng_from_seed
 from mskit.schur import (build_mixed_schur, mixed_tensor_factors,
-                         parse_factor_order, ptpqp_amplitude, sector_matmul,
-                         sector_split, verify_blockdiag, verify_brauer,
-                         weight_check)
+                         parse_factor_order, ptpqp_amplitude, verify_blockdiag,
+                         verify_brauer, weight_check)
 
 from refdata import W212, W212_ORDER, row_sign_vector
 
@@ -313,34 +312,31 @@ def test_built_matrix_is_read_only():
 def test_reassigned_or_replaced_matrix_gets_its_own_split():
     W = build_mixed_schur(2, 1, 2)
     X = rng_from_seed(41).standard_normal((W.size, 3))
-    split = sector_split(W)
-    assert sector_split(W) is split
-
-    flipped = -W.matrix  # a new, writable array: a fresh split on every call
+    split = W.split
+    assert W.split is split
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        W.matrix = -W.matrix
+    flipped = -W.matrix
     V = dataclasses.replace(W, matrix=flipped)
-    assert sector_split(V) is not split
-    assert sector_split(V) is not sector_split(V)
-    assert np.allclose(sector_matmul(V, X), flipped @ X, atol=1e-15)
-    # nor is a split made while the matrix was writable kept for later
-    flipped[0] = 0.0
-    flipped.setflags(write=False)
-    assert np.allclose(sector_matmul(V, X), flipped @ X, atol=1e-15)
+    assert V.matrix is flipped and not flipped.flags.writeable  # owned, not copied
+    assert V.split is not split and V.split is V.split
+    assert np.allclose(V.split.matmul(X), flipped @ X, atol=1e-15)
+    assert W.split is split
+    assert np.allclose(W.split.matmul(X), W.matrix @ X, atol=1e-15)
 
-    frozen = flipped.copy()
-    frozen.setflags(write=False)
-    W.matrix = frozen
-    kept = sector_split(W)
-    assert kept is not split and sector_split(W) is kept
-    assert np.allclose(sector_matmul(W, X), frozen @ X, atol=1e-15)
 
-    # a read-only view of a writable array can still change under the split
-    base = frozen.copy()
-    view = base[:]
-    view.setflags(write=False)
-    W.matrix = view
-    assert sector_split(W) is not sector_split(W)
+def test_editing_the_array_behind_a_view_leaves_the_transform():
+    W = build_mixed_schur(2, 1, 2)
+    X = rng_from_seed(46).standard_normal((W.size, 3))
+    base = W.matrix.copy()
+    V = dataclasses.replace(W, matrix=base[:])
+    split = V.split
     base *= 2.0
-    assert np.allclose(sector_matmul(W, X), base @ X, atol=1e-15)
+    assert base.flags.writeable and not V.matrix.flags.writeable
+    assert np.array_equal(V.matrix, W.matrix)
+    assert V.split is split
+    assert np.allclose(split.matmul(X), W.matrix @ X, atol=1e-15)
+    assert V.unitarity_residual() < 1e-14
 
 
 @pytest.fixture
@@ -368,7 +364,7 @@ def test_one_sector_split_per_transform(splits_made):
         rep = verify_brauer(W, sigma)
         assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
     assert weight_check(W) == 0.0
-    sector_matmul(W, np.eye(W.size), adjoint=True)
+    W.split.matmul(np.eye(W.size), adjoint=True)
     assert len(splits_made) == 1 and splits_made[0] is W
 
 
