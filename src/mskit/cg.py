@@ -11,13 +11,21 @@ order, each block indexed by the target's canonical GT patterns.
 The coupling is built recursively, as sparse (row, column, value) triplets:
 the leg value i < d is handled by the U(d-1) coupling acting inside the
 second pattern row, i = d leaves the U(d-1) content alone, and the reduced
-Wigner coefficients splice the two cases into the U(d) targets.  One
-vectorized step per mu remaps the entries of every content mu' (its U(d-1)
-coupling) into every target mu - e_j: each output block of the content's
-coupling gets a row shift and one coefficient T(mu, j, mu', j'), and its
-column (q', i') moves to (q_mu' + q', i') in the U(d) numbering; the leg
+Wigner coefficients splice the two cases into the U(d) targets.  Each
+output block of a content mu' (a block of its U(d-1) coupling) lands in a
+target mu - e_j with a row shift and one coefficient T(mu, j, mu', j'), its
+column (q', i') moving to (q_mu' + q', i') in the U(d) numbering; the leg
 i = d adds a diagonal scaled by T(mu, j, mu', 0).  The base case d = 1 maps
-the integer c to c - 1 with coefficient 1.  Weight conservation keeps the
+the integer c to c - 1 with coefficient 1.
+
+The triplets are shift invariant: those of mu + c (1, ..., 1) equal those of
+mu, entry for entry, and only the block labels shift by c, so the memo keeps
+one set per mu - mu_d (1, ..., 1).  A request first collects the staircases
+it needs and the memo lacks, by length from d down to 1, and then builds
+each length (a level) in one vectorized pass, shortest first: one
+reduced_wigner_table over all (mu, content) pairs of the level, and one
+segmented remap of all sub-coupling blocks into their targets.  A single
+coupling is a level with one staircase.  Weight conservation keeps the
 triplets a small fraction of the dense size (about 2% at d = 4, 0.2% at
 d = 8), and no coupling is ever dense: each public call packs its triplets
 once into a read-only CSR matrix (CouplingMatrix), which it returns.
@@ -51,7 +59,7 @@ import numpy as np
 import scipy.sparse
 
 from .gelfand import interlacing_set, pattern_weights, subduce_offsets
-from .staircase import (Staircase, add_box_set, dim, remove_box_set, validate)
+from .staircase import Staircase, add_box_set, dim, validate
 from .wigner import reduced_wigner_table
 from .bratteli import CapExceeded
 
@@ -84,9 +92,10 @@ class CouplingMatrix(scipy.sparse.csr_array):
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CGTransform:
-    """One coupling unitary with its labeled output blocks.
+    """One coupling unitary with its labeled output blocks; compared and
+    hashed by identity.
 
     matrix rows are grouped by output_blocks: (target staircase, row offset,
     block size == dim(target)), listed in canonical staircase order.
@@ -141,11 +150,16 @@ def clear_cache() -> None:
         _triplet_memo.clear()
 
 
+def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
 def _csr(rows, cols, vals, n: int) -> CouplingMatrix:
     """The n x n read-only CSR matrix with the given unique entries."""
     W = CouplingMatrix((vals, (rows, cols)), shape=(n, n))
-    for x in (W.data, W.indices, W.indptr):
-        x.setflags(write=False)
+    _readonly(W.data, W.indices, W.indptr)
     return W
 
 
@@ -175,74 +189,155 @@ def _target_blocks(targets: list[Staircase]) -> tuple[tuple[Staircase, int, int]
     return tuple(blocks)
 
 
-def _changed(a: Staircase, b: Staircase) -> int:
-    """Index of the one entry where a and b differ."""
-    return next(k for k in range(len(b)) if a[k] != b[k])
+def _canonical(mu: Staircase) -> Staircase:
+    """mu - mu_d (1, ..., 1), the memo key of its triplets."""
+    return tuple(x - mu[-1] for x in mu)
 
 
 def _sparse_dual(mu: Staircase) -> _Triplets:
-    """Triplets of dual_cg(mu), built from those of the U(d-1) couplings."""
-    hit = _triplet_memo.get(mu)
-    if hit is not None:
-        return hit
-    blocks = _target_blocks(remove_box_set(mu))
-    if len(mu) == 1:
-        rows, cols, vals, ptr = (np.zeros(1, np.intp), np.zeros(1, np.intp),
-                                 np.ones(1), np.arange(2))
-    else:
-        rows, cols, vals, ptr = _remap_subcouplings(mu, blocks)
-    for x in (rows, cols, vals, ptr):
-        x.setflags(write=False)
-    out = _Triplets(rows, cols, vals, ptr, blocks)
-    with _memo_lock:
-        return _triplet_memo.setdefault(mu, out)
+    """Triplets of dual_cg(mu)."""
+    return _sparse_duals([mu])[0]
 
 
-def _remap_subcouplings(mu: Staircase, blocks) -> tuple[np.ndarray, ...]:
-    """rows, cols, vals and block pointer of dual_cg(mu), d >= 2.
+def _sparse_duals(mus) -> list[_Triplets]:
+    """Triplets of dual_cg(mu) for each mu in mus, all of one length.
 
-    Every target block gets one line of candidate entries: the entries of
-    each content's U(d-1) coupling (leg values below d), then one diagonal
-    entry per pattern of mu (leg value d).  The coefficients zero out the
-    candidates that do not reach the target.
+    The keys the memo lacks are collected by length, from the requests down
+    through their contents, and each length is built in one pass, shortest
+    first; a shifted request gets the triplets of its key, relabeled.
     """
-    d = len(mu)
-    contents = interlacing_set(mu)  # the order of subduce(mu)
-    table = reduced_wigner_table(mu, contents)  # [mu', j - 1, j']
-    subs = [_sparse_dual(m) for m in contents]
-    dims = [dim(m) for m in contents]
-    in_off = np.cumsum([0] + dims[:-1])
-    # every sub-coupling output block k, over all contents
-    kb = [(a, nup, s_off, 1 + _changed(nup, m))
-          for a, (m, s) in enumerate(zip(contents, subs)) for nup, s_off, _ in s.blocks]
-    k_a = np.array([a for a, _, _, _ in kb])
-    k_jp = np.array([jp for _, _, _, jp in kb])
-    k_of = np.repeat(np.arange(len(kb)), np.concatenate([np.diff(s.ptr) for s in subs]))
-    q_a = np.repeat(np.arange(len(contents)), dims)  # content of each pattern q of mu
-    q = np.arange(len(q_a))
-    # column (q', i') of the content's coupling -> (q_mu' + q', i'); the leg
-    # value d keeps the pattern: (q, d)
-    sub_q, sub_i = np.divmod(np.concatenate([s.cols for s in subs]), d - 1)
-    cols = np.concatenate([(in_off[k_a][k_of] + sub_q) * d + sub_i, q * d + d - 1])
-    vals = np.concatenate([np.concatenate([s.vals for s in subs]), np.ones(len(q))])
+    keys = [_canonical(mu) for mu in mus]
+    have = {}
+    levels = []
+    todo = dict.fromkeys(keys)
+    while todo:
+        need = []
+        for key in todo:
+            hit = _triplet_memo.get(key)
+            if hit is None:
+                need.append(key)
+            else:
+                have[key] = hit
+        if need:
+            levels.append(need)
+        todo = dict.fromkeys(k for mu in need for k in map(_canonical, interlacing_set(mu))
+                             if k not in have)
+    for level in reversed(levels):
+        have.update(_build_level(level, have))
+    with _memo_lock:
+        for level in levels:
+            for key in level:
+                have[key] = _triplet_memo.setdefault(key, have[key])
+    out = []
+    for mu, key in zip(mus, keys):
+        t = have[key]
+        if mu[-1]:
+            t = t._replace(blocks=tuple((tuple(x + mu[-1] for x in g), off, size)
+                                        for g, off, size in t.blocks))
+        out.append(t)
+    return out
 
-    tj = np.array([_changed(t, mu) for t, _, _ in blocks])
-    offs = [(row0, subduce_offsets(t)) for t, row0, _ in blocks]
-    # coefficient T(mu, j, mu', j') of sub-coupling block k in target j, and
-    # T(mu, j, mu', 0) of the pattern q; each lands on the target's content
-    coef = np.concatenate([table[k_a[None, :], tj[:, None], k_jp[None, :]][:, k_of],
-                           table[q_a[None, :], tj[:, None], 0]], axis=1)
-    shift = np.array([[row0 + out.get(nup, 0) - s_off for _, nup, s_off, _ in kb]
-                      for row0, out in offs], dtype=np.intp)
-    base = np.array([[row0 + out.get(m, 0) for m in contents] for row0, out in offs],
-                    dtype=np.intp) - in_off
-    rows = np.concatenate([np.concatenate([s.rows for s in subs]) + shift[:, k_of],
-                           base[:, q_a] + q], axis=1)
+
+def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and position of every element of the ranges arange(n), n in
+    lengths, laid end to end."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
+
+
+def _build_level(level: list[Staircase], have: dict) -> dict[Staircase, _Triplets]:
+    """Triplets of dual_cg(mu) for every mu in level, all of one length d and
+    with last entry 0, from the triplets in `have` of their U(d-1) contents.
+
+    A segment is one output block of a content's coupling (its entries; leg
+    values below d) or the diagonal of one content (its patterns, at leg
+    value d).  Each segment lands in each target block of its mu with one
+    coefficient T(mu, j, mu', j'), j' = 0 for the diagonal, and one row
+    shift; the (target, segment) pairs whose coefficient is 0 are dropped.
+    """
+    d = len(level[0])
+    if d == 1:  # (0,): the integer 0 maps to -1 with coefficient 1
+        base = _readonly(np.zeros(1, np.intp), np.zeros(1, np.intp), np.ones(1), np.arange(2))
+        return {(0,): _Triplets(*base, (((-1,), 0, 1),))}
+    pair_mu, contents, subs, in_off, dims = [], [], [], [], []
+    # per sub segment: its pair, j', row offset in the sub coupling, label
+    seg_pair, seg_jp, seg_off, seg_label = [], [], [], []
+    # per target block: j - 1, row offset, second row -> row offset
+    tj, row0, offs, blocks = [], [], [], []
+    for l, mu in enumerate(level):
+        off = 0
+        for c in interlacing_set(mu):
+            sub = have[_canonical(c)]
+            js = [j for j in range(d - 1) if j == d - 2 or c[j] > c[j + 1]]  # blocks c - e_j
+            seg_pair += [len(contents)] * len(js)
+            seg_jp += [j + 1 for j in js]
+            seg_off += [o for _, o, _ in sub.blocks]
+            seg_label += [c[:j] + (c[j] - 1,) + c[j + 1:] for j in js]
+            pair_mu.append(l)
+            contents.append(c)
+            subs.append(sub)
+            in_off.append(off)
+            dims.append(dim(c))
+            off += dims[-1]
+        js = [j for j in range(d) if j == d - 1 or mu[j] > mu[j + 1]]
+        blocks.append(_target_blocks([mu[:j] + (mu[j] - 1,) + mu[j + 1:] for j in js]))
+        tj += js
+        row0 += [r0 for _, r0, _ in blocks[-1]]
+        offs += [subduce_offsets(t) for t, _, _ in blocks[-1]]
+    # the diagonal segments of all contents follow the sub segments
+    n = len(contents)
+    seg_pair = np.array(seg_pair + list(range(n)))
+    seg_jp = np.array(seg_jp + [0] * n)
+    seg_off = np.array(seg_off + [0] * n)
+    seg_label += contents
+    pair_mu, in_off, dims = np.array(pair_mu), np.array(in_off), np.array(dims)
+
+    # the entries of every content's coupling, then every diagonal, tiled by
+    # the segments in order; column (q', i') of content mu' becomes
+    # (q_mu' + q', i'), and its pattern q' on the diagonal (q_mu' + q', d)
+    n_ent = np.array([len(t.vals) for t in subs])
+    ends = (np.concatenate([t.ptr[1:] for t in subs])
+            + np.repeat(np.cumsum(n_ent) - n_ent, [len(t.blocks) for t in subs]))
+    length = np.concatenate([np.diff(ends, prepend=0), dims])
+    start = np.cumsum(length) - length
+    owner, q = _ranges(dims)
+    rows = np.concatenate([t.rows for t in subs] + [q])
+    cols = np.concatenate([t.cols for t in subs] + [(in_off[owner] + q) * d + d - 1])
+    vals = np.concatenate([t.vals for t in subs] + [np.ones(len(q))])
+    E = ends[-1]
+    sub_q, sub_i = np.divmod(cols[:E], d - 1)
+    cols[:E] = (np.repeat(in_off, n_ent) + sub_q) * d + sub_i
+
+    # every (target, segment) pair of each mu, targets major; a mu's
+    # segments are its sub segments, then its diagonals
+    seg_mu = pair_mu[seg_pair]
+    n_seg = np.bincount(seg_mu, minlength=len(level))
+    n_tgt = np.array([len(b) for b in blocks])
+    owner, at = _ranges(n_tgt * n_seg)
+    t_at, s_at = np.divmod(at, n_seg[owner])
+    g = (np.cumsum(n_tgt) - n_tgt)[owner] + t_at
+    sig = np.argsort(seg_mu, kind="stable")[(np.cumsum(n_seg) - n_seg)[owner] + s_at]
+    table = reduced_wigner_table(np.array(level)[pair_mu], contents)  # [pair, j - 1, j']
+    coef = table[seg_pair[sig], np.array(tj)[g], seg_jp[sig]]
     keep = np.flatnonzero(coef)
-    line = keep % coef.shape[1]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(keep // coef.shape[1],
-                                                     minlength=len(blocks)))])
-    return rows.ravel()[keep], cols[line], coef.ravel()[keep] * vals[line], ptr
+    g, sig, coef = g[keep], sig[keep], coef[keep]
+    # a segment labeled nu moves to the target's row offset plus the offset
+    # of nu in the target, less its own offset in the sub coupling
+    shift = (np.array(row0)[g] - seg_off[sig]
+             + np.array([offs[a][seg_label[b]] for a, b in zip(g.tolist(), sig.tolist())],
+                        dtype=np.intp))
+    owner, at = _ranges(length[sig])
+    idx = start[sig][owner] + at
+    rows, cols, vals = _readonly(rows[idx] + shift[owner], cols[idx], vals[idx] * coef[owner])
+    ptr = np.searchsorted(g[owner], np.arange(len(tj) + 1))
+    out = {}
+    g0 = 0
+    for mu, b in zip(level, blocks):
+        p = ptr[g0:g0 + len(b) + 1]
+        at = slice(p[0], p[-1])
+        out[mu] = _Triplets(rows[at], cols[at], vals[at], *_readonly(p - p[0]), b)
+        g0 += len(b)
+    return out
 
 
 def bend(dual_block: np.ndarray, dim_nu: int, dim_lam: int, d: int) -> np.ndarray:
@@ -273,10 +368,9 @@ def defining_cg(lam: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
         raise CapExceeded(f"dim(lam) * d = {dlam * d} exceeds cap {cap}")
     blocks = _target_blocks(add_box_set(lam))
     pieces = []
-    for nu, off, dn in blocks:
+    for (nu, off, dn), t in zip(blocks, _sparse_duals([nu for nu, _, _ in blocks])):
         # the real dual block C_dual[q_lam, (q_nu, i)] moves to
         # C_def[q_nu, (q_lam, i)], scaled; the swap is on triplets
-        t = _sparse_dual(nu)
         b = next(k for k, (g, _, _) in enumerate(t.blocks) if g == lam)
         sl = slice(t.ptr[b], t.ptr[b + 1])
         q_nu, i = np.divmod(t.cols[sl], d)

@@ -53,13 +53,14 @@ def parse_factor_order(order: str, n: int, m: int) -> str:
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurTransform:
     """The unitary W with one (staircase, GT index, path index) label per row.
 
     The transform owns matrix and makes it read-only; a view of another
     array is copied first, so no other array can change W.  The values
     derived from W are cached properties, computed once per transform.
+    Transforms compare and hash by identity.
     """
 
     n: int

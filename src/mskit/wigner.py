@@ -20,18 +20,21 @@ Closed form, in shifted coordinates s_k = mu_k - k and s'_k = mu'_k - k:
 
 with sign S(j, j') = +1 if j <= j' and -1 otherwise.
 
-Evaluation: :func:`reduced_wigner_table` takes a staircase mu and a list of
-contents mu' and evaluates every j and j' in one numpy pass.  Each value is
-the signed square root of a ratio of two integer products; the products are
-exact (int64 below 2^53, where float64 holds them exactly, Python integers
-above), so the only rounding is one division and one square root.  The
-shifted entries of a staircase strictly decrease, so s_k - s_j never
-vanishes; s'_k - s'_{j'} + 1 vanishes exactly where mu' - e_{j'} is no
-staircase, an index the mask zeroes.  The numerator vanishes exactly when the
-output fails interlacing, which is also enforced by an explicit mask; where
-mask and formula disagree the value is masked to 0 with a RuntimeWarning.
-:func:`dual_reduced_wigner` validates its arguments and reads its value from
-the same table.
+Evaluation: :func:`reduced_wigner_table` takes P (mu, mu') pairs, one
+staircase mu shared by P contents or one mu per content, and evaluates every
+j and j' of every pair in one numpy pass (in chunks of 1024 pairs);
+the coupling build hands it all pairs of one recursion level at once.  Each
+value is the signed square root of a ratio of two integer products; the
+products are exact (int64 below 2^53, where float64 holds them exactly;
+Python integers for the pairs whose products may pass 2^53), so the only
+rounding is one division and one square root, and a pair's value does not
+depend on the pairs evaluated with it.  The shifted entries of a staircase
+strictly decrease, so s_k - s_j never vanishes; s'_k - s'_{j'} + 1 vanishes
+exactly where mu' - e_{j'} is no staircase, an index the mask zeroes.  The
+numerator vanishes exactly when the output fails interlacing, which is also
+enforced by an explicit mask; where mask and formula disagree the value is
+masked to 0 with a RuntimeWarning.  :func:`dual_reduced_wigner` validates
+its arguments and reads its value from the same table.
 
 Grouped by fixed output content nu, the coefficients form square orthogonal
 matrices (see :func:`reduced_wigner_operator`); that orthogonality is what
@@ -48,37 +51,57 @@ import numpy as np
 from .staircase import Staircase, interlaces, is_valid, validate
 
 MASK_FORMULA_TOL = 1e-14
+# pairs per vectorized pass: bounds the (pairs, d, d, d) temporaries
+_CHUNK = 1024
 
 
-def reduced_wigner_table(mu: Staircase, contents) -> np.ndarray:
-    """T(mu, j, mu', j') for every content mu' in contents and every j, j'.
+def reduced_wigner_table(mu, contents) -> np.ndarray:
+    """T(mu, j, mu', j') for every (mu, mu') pair and every j, j'.
 
-    contents lists length d-1 staircases interlacing mu (not checked here,
-    see :func:`dual_reduced_wigner`).  Entry [a, j - 1, j'] of the returned
-    (len(contents), d, d) array is T(mu, j, contents[a], j'); entries whose
-    output is invalid are 0.
+    contents lists P staircases mu' of length d-1; mu is one staircase of
+    length d shared by all of them, or P staircases, one per content.  Each
+    mu' interlaces its mu (not checked here, see
+    :func:`dual_reduced_wigner`).  Entry [p, j - 1, j'] of the returned
+    (P, d, d) array is T(mu_p, j, contents[p], j'); entries whose output is
+    invalid are 0.
     """
-    d, n = len(mu), len(contents)
+    cont = np.array(contents, dtype=np.int64)
+    n = len(cont)
     m = np.array(mu, dtype=np.int64)
-    cont = np.array(contents, dtype=np.int64).reshape(n, d - 1)
-    s = m - np.arange(1, d + 1)
-    sp = cont - np.arange(1, d)
-    # every factor is at most mu_1 - mu_d + d + 1 in magnitude; products that
-    # could pass 2^53 (float64's exact integers) are taken in Python integers,
-    # whose true division rounds once
-    if (int(m[0] - m[-1]) + d + 1) ** max(2 * d - 3, 1) >= 2 ** 53:
-        s, sp = s.astype(object), sp.astype(object)
+    d = m.shape[-1]
+    m = np.broadcast_to(m, (n, d))
+    cont = cont.reshape(n, d - 1)
+    # every factor is at most mu_1 - mu_d + d + 1 in magnitude; the pairs
+    # whose products could pass 2^53 (float64's exact integers) are taken in
+    # Python integers, whose true division rounds once
+    span = m[:, 0] - m[:, -1] + d + 1
+    e = max(2 * d - 3, 1)
+    wide = np.isin(span, [x for x in np.unique(span).tolist() if x ** e >= 2 ** 53])
+    out = np.empty((n, d, d))
+    for at, dtype in ((np.flatnonzero(~wide), np.int64), (np.flatnonzero(wide), object)):
+        for lo in range(0, len(at), _CHUNK):
+            part = at[lo:lo + _CHUNK]
+            out[part] = _table(m[part], cont[part], dtype)
+    return out
+
+
+def _table(m: np.ndarray, cont: np.ndarray, dtype) -> np.ndarray:
+    """reduced_wigner_table of the pairs (m[p], cont[p]), with the integer
+    products taken in dtype."""
+    n, d = m.shape
+    s = (m - np.arange(1, d + 1)).astype(dtype)
+    sp = (cont - np.arange(1, d)).astype(dtype)
     eye = np.eye(d, dtype=bool)
-    a = sp[:, None, :] - s[None, :, None]        # [a, j, k] = s'_k - s_j
-    b = s[None, None, :] - sp[:, :, None] + 1    # [a, p, k] = s_k - s'_p + 1, p = j' - 1
+    a = sp[:, None, :] - s[:, :, None]           # [p, j, k] = s'_k - s_j
+    b = s[:, None, :] - sp[:, :, None] + 1       # [p, q, k] = s_k - s'_q + 1, q = j' - 1
     num = np.empty((n, d, d), dtype=a.dtype)
     num[:, :, 0] = a.prod(axis=2)
     num[:, :, 1:] = (np.where(eye[:-1, :-1], 1, a[:, :, None, :]).prod(axis=3)
                      * np.where(eye[:, None, :], 1, b[:, None]).prod(axis=3))
     den = np.ones((n, 1, d), dtype=a.dtype)
-    # prod_{k != p} (s'_k - s'_p + 1): the k = p factor is 1
+    # prod_{k != q} (s'_k - s'_q + 1): the k = q factor is 1
     den[:, 0, 1:] = (sp[:, None, :] - sp[:, :, None] + 1).prod(axis=2)
-    den = den * (s[None, :] - s[:, None] + eye).prod(axis=1)[None, :, None]
+    den = den * (s[:, None, :] - s[:, :, None] + eye).prod(axis=2)[:, :, None]
     # den vanishes exactly where mu' - e_{j'} is no staircase; masked below
     den[den == 0] = 1
     minus = np.tri(d, dtype=bool)  # row j - 1: S(j, j') = -1 where 1 <= j' < j
@@ -87,7 +110,7 @@ def reduced_wigner_table(mu: Staircase, contents) -> np.ndarray:
 
     # valid iff nu = mu' - e_{j'} (nu = mu' at j' = 0) interlaces mu - e_j,
     # which also makes both staircases
-    target = (m - np.eye(d, dtype=np.int64))[None, :, None, :]
+    target = (m[:, None, :] - np.eye(d, dtype=np.int64))[:, :, None, :]
     nu = cont[:, None, :] - np.eye(d, d - 1, -1, dtype=np.int64)
     nu_ok = (nu[..., :-1] >= nu[..., 1:]).all(axis=2)[:, None, :]
     nu = nu[:, None, :, :]
@@ -97,8 +120,8 @@ def reduced_wigner_table(mu: Staircase, contents) -> np.ndarray:
         ia, jj, jp = (int(x[0]) for x in np.nonzero(stray))
         warnings.warn(
             f"reduced Wigner formula gave {value[ia, jj, jp]} on masked index "
-            f"(mu={tuple(mu)}, j={jj + 1}, mu'={tuple(contents[ia])}, j'={jp}); "
-            "masking to 0",
+            f"(mu={tuple(m[ia].tolist())}, j={jj + 1}, mu'={tuple(cont[ia].tolist())}, "
+            f"j'={jp}); masking to 0",
             RuntimeWarning,
         )
     value[~valid] = 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,13 @@ def test_memo_transparency():
     c = dual_cg((1, 0, -1)).matrix
     assert a is not c
     assert np.array_equal(a.toarray(), c.toarray())  # bit-identical rebuild
+
+
+def test_transforms_compare_and_hash_by_identity():
+    t = dual_cg((1, 0, -1))
+    u = dataclasses.replace(t)
+    assert (t == u) is False and (t != u) is True and (t == t) is True
+    assert hash(t) == hash(dual_cg((1, 0, -1))) and len({t, u, t}) == 2
 
 
 def test_cap():

@@ -13,7 +13,8 @@ import pytest
 
 import mskit
 from mskit import cg, wigner
-from mskit.cg import CGTransform, bend, clear_cache, defining_cg, dual_cg
+from mskit.cg import CGTransform, bend, cg_transform, clear_cache, defining_cg, dual_cg
+from mskit.gelfand import interlacing_set
 from mskit.staircase import add_box_set, dim
 
 from test_staircase import all_staircases
@@ -61,6 +62,43 @@ def test_triplets_are_unique_and_grouped_by_block():
             rows = t.rows[t.ptr[b]:t.ptr[b + 1]]
             assert ((rows >= off) & (rows < off + size)).all()
         assert t.ptr[-1] == len(t.vals) == np.count_nonzero(dual_cg(mu).matrix.toarray())
+
+
+def _recursion(gammas):
+    """Every staircase the dual couplings of gammas recurse into."""
+    out, todo = set(), list(gammas)
+    while todo:
+        for c in interlacing_set(todo.pop()):
+            if c not in out:
+                out.add(c)
+                todo.append(c)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("gamma", [(2, 1, 0, -1), (1, 1, 0, 0, -1), (3, 1, 0, -2),
+                                   (2, 1, 1, 0, -1), (1, 1, 0, 0, 0, -1)])
+def test_couplings_do_not_depend_on_memo_order(gamma):
+    # a cold build, and builds after warming a random subset of the
+    # staircases the recursion reaches (some shifted) or a shifted sibling
+    def build():
+        return [cg_transform(kind, gamma).matrix.toarray().tobytes()
+                for kind in ("dual", "defining")]
+
+    clear_cache()
+    cold = build()
+    reach = _recursion([gamma] + add_box_set(gamma))
+    rng = np.random.default_rng(len(reach))
+    for trial in range(6):
+        clear_cache()
+        if trial == 0:
+            dual_cg(tuple(x + 2 for x in gamma))
+            defining_cg(tuple(x - 1 for x in gamma))
+        else:
+            for k in rng.choice(len(reach), size=rng.integers(1, len(reach) + 1), replace=False):
+                c = int(rng.integers(-2, 3))
+                cg._sparse_dual(tuple(x + c for x in reach[k]))
+        assert build() == cold, trial
+    clear_cache()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

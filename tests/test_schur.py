@@ -325,6 +325,13 @@ def test_reassigned_or_replaced_matrix_gets_its_own_split():
     assert np.allclose(W.split.matmul(X), W.matrix @ X, atol=1e-15)
 
 
+def test_transforms_compare_and_hash_by_identity():
+    W = build_mixed_schur(1, 1, 2)
+    V = dataclasses.replace(W, matrix=W.matrix.copy())
+    assert (W == V) is False and (W != V) is True and (W == W) is True
+    assert hash(W) == hash(W) and len({W, V, W}) == 2
+
+
 def test_editing_the_array_behind_a_view_leaves_the_transform():
     W = build_mixed_schur(2, 1, 2)
     X = rng_from_seed(46).standard_normal((W.size, 3))

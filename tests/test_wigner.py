@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from mskit.gelfand import interlacing_set
 from mskit.staircase import interlaces, is_valid
 from mskit.wigner import (dual_reduced_wigner, output_contents,
-                          reduced_wigner_operator)
+                          reduced_wigner_operator, reduced_wigner_table)
 
 from test_staircase import all_staircases
 
@@ -106,3 +107,14 @@ def test_block_shapes():
     assert b.row_targets == (1, 2) and b.col_sources == (0, 1)
     expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert np.allclose(b.matrix, expected, atol=1e-14)
+
+
+def test_table_over_many_pairs_matches_each_pair():
+    # more pairs than one vectorized pass takes, wide (Python integer) pairs
+    # among them: every pair gets the bits it gets alone
+    mus = all_staircases(4, -3, 3) + [(3000, 3000, 0, 0), (2000, 1, 0, 0)]
+    pairs = [(mu, c) for mu in mus for c in interlacing_set(mu)[:60]]
+    assert len(pairs) > 1024
+    table = reduced_wigner_table(*zip(*pairs))
+    for p, (mu, c) in enumerate(pairs):
+        assert table[p].tobytes() == reduced_wigner_table(mu, [c])[0].tobytes(), (mu, c)
