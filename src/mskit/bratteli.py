@@ -16,6 +16,7 @@ when each transform lists its target irreps in ascending staircase order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,6 +40,14 @@ def check_cap(d: int, legs: int, cap: int) -> None:
 
 def standard_types(n: int, m: int) -> tuple[int, ...]:
     return (1,) * n + (-1,) * m
+
+
+def parse_factor_order(order: str, n: int, m: int) -> str:
+    """A factor order: n '+' (defining) and m '-' (dual) legs in any order."""
+    order = order.replace("−", "-")  # tolerate unicode minus
+    if sorted(order) != sorted("+" * n + "-" * m):
+        raise ValueError(f"factor order {order!r} must contain {n} '+' and {m} '-'")
+    return order
 
 
 @dataclass(frozen=True)
@@ -114,27 +123,15 @@ def paths_to(diagram: BratteliDiagram, gamma: Staircase) -> list[BratteliPath]:
     gamma = validate(gamma)
     if gamma not in diagram.top_level():
         raise ValueError(f"{gamma} is not a top-level vertex")
-    # walk forward keeping every partial path; prune to ancestors of gamma first
-    reach = [{gamma}]
+    # walk back from gamma: every vertex has a parent, so each backward walk
+    # ends at the root and no partial path is a dead end
+    partial: list[tuple[Staircase, ...]] = [(gamma,)]
     for k in range(diagram.depth, 0, -1):
-        prev = set()
-        lvl, nxt = diagram.levels[k - 1], diagram.levels[k]
+        parents: dict[Staircase, list[Staircase]] = {}
         for i, j in diagram.edges[k - 1]:
-            if nxt[j] in reach[0]:
-                prev.add(lvl[i])
-        reach.insert(0, prev)
-    partial: list[tuple[Staircase, ...]] = [(diagram.levels[0][0],)]
-    for k in range(diagram.depth):
-        nxt = diagram.levels[k + 1]
-        index = {g: i for i, g in enumerate(diagram.levels[k])}
-        adj: dict[int, list[Staircase]] = {}
-        for i, j in diagram.edges[k]:
-            if nxt[j] in reach[k + 1]:
-                adj.setdefault(i, []).append(nxt[j])
-        partial = [p + (h,) for p in partial for h in adj.get(index[p[-1]], ())]
-    partial = [p for p in partial if p[-1] == gamma]
-    partial.sort()
-    return [BratteliPath(vertices=p, types=diagram.types) for p in partial]
+            parents.setdefault(diagram.levels[k][j], []).append(diagram.levels[k - 1][i])
+        partial = [(a,) + p for p in partial for a in parents[p[0]]]
+    return [BratteliPath(vertices=p, types=diagram.types) for p in sorted(partial)]
 
 
 def path_counts(diagram: BratteliDiagram) -> dict[Staircase, int]:
@@ -149,16 +146,32 @@ def path_counts(diagram: BratteliDiagram) -> dict[Staircase, int]:
 
 
 def census(n: int, m: int, d: int, cap: int = DEFAULT_CAP) -> list[tuple[Staircase, int, int]]:
-    """(gamma, dim, mult) for the mixed tensor power, canonical staircase order.
-
-    The identity sum(dim * mult) == d**(n+m) is asserted.
-    """
+    """(gamma, dim, mult) for the mixed tensor power, canonical staircase order."""
     check_cap(d, n + m, cap)
-    diagram = build(n, m, d)
-    counts = path_counts(diagram)
-    out = [(g, dim(g), counts[g]) for g in sorted(counts)]
-    assert sum(dg * mg for _, dg, mg in out) == d ** (n + m)
-    return out
+    return [(g, dg, mg) for g, _, dg, mg in row_layout(n, m, d)]
+
+
+@functools.cache
+def row_layout(n: int, m: int, d: int) -> tuple[tuple[Staircase, int, int, int], ...]:
+    """(gamma, start, dim, mult) of each label block of the mixed Schur transform.
+
+    Mixed Schur-Weyl duality fixes the labels |gamma, q, p> from (n, m, d)
+    alone, whatever the factor order: blocks follow census order and row
+    (gamma, q, p) sits at start + p * dim + q.  Callers check the cap first.
+    """
+    counts = path_counts(build(n, m, d))
+    blocks, start = [], 0
+    for g in sorted(counts):
+        blocks.append((g, start, dim(g), counts[g]))
+        start += dim(g) * counts[g]
+    assert start == d ** (n + m)
+    return tuple(blocks)
+
+
+def row_labels(n: int, m: int, d: int) -> list[tuple[Staircase, int, int]]:
+    """The label (gamma, q, p) of every row of the transform, in row order."""
+    return [(g, q, p) for g, _, dg, mg in row_layout(n, m, d)
+            for p in range(mg) for q in range(dg)]
 
 
 def count_paths_reordered(n: int, m: int, d: int,

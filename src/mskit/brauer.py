@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bratteli import check_cap
+from .bratteli import check_cap, parse_factor_order
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,7 @@ def represent(sigma: WalledBrauerDiagram, d: int, cap: int = 4096,
     dim = d ** N
     legs = list(range(N))
     if order is not None:
-        if sorted(order) != sorted("+" * sigma.n + "-" * sigma.m):
-            raise ValueError(f"factor order {order!r} must contain {sigma.n} '+' "
-                             f"and {sigma.m} '-'")
+        order = parse_factor_order(order, sigma.n, sigma.m)
         legs = ([k for k, c in enumerate(order) if c == "+"]
                 + [k for k, c in enumerate(order) if c == "-"])
     strides = [d ** (N - 1 - leg) for leg in legs]

@@ -45,7 +45,7 @@ import numpy as np
 from .bratteli import DEFAULT_CAP
 from .rand import rng_from_seed
 from .schur import (BlockDiagReport, SchurTransform, _structured_residuals,
-                    block_layout, build_mixed_schur)
+                    build_mixed_schur)
 
 # Entries of J in one row chunk of is_equivariant: 512 KB of complex data,
 # small enough to stay in cache while all 2(n+m) legs of a generator act.
@@ -69,10 +69,14 @@ class ChoiMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def factor_order(self) -> str:
+        """The Choi register order as legs: m dual, then n defining."""
+        return "-" * self.m_in + "+" * self.n_out
+
     def schur_transform(self, cap: int = DEFAULT_CAP) -> SchurTransform:
-        """Transform matching the Choi register order: m dual legs, then n defining."""
-        return build_mixed_schur(self.n_out, self.m_in, self.d,
-                                 "-" * self.m_in + "+" * self.n_out, cap=cap)
+        """Transform matching the Choi register order."""
+        return build_mixed_schur(self.n_out, self.m_in, self.d, self.factor_order, cap=cap)
 
     def trace_preserving_residual(self) -> float:
         din, dout = self.d ** self.m_in, self.d ** self.n_out
@@ -127,7 +131,7 @@ def is_equivariant(J: ChoiMatrix, tol: float = 1e-10) -> tuple[bool, float]:
     generator moves one index by one step on one leg at a time, applied by
     slicing J as an array of 2(n+m) legs.
     """
-    d, order = J.d, "-" * J.m_in + "+" * J.n_out
+    d, order = J.d, J.factor_order
     N, D = len(order), J.size
     # Rows are taken in chunks that share their leading row digits, small
     # enough to stay in cache while every leg passes over them; legs with a
@@ -170,9 +174,8 @@ def is_equivariant(J: ChoiMatrix, tol: float = 1e-10) -> tuple[bool, float]:
 def _check_transform(J: ChoiMatrix, W: SchurTransform) -> None:
     if W.size != J.size or (W.n, W.m, W.d) != (J.n_out, J.m_in, J.d):
         raise ValueError("transform does not match the Choi matrix shape")
-    if W.factor_order != "-" * J.m_in + "+" * J.n_out:
-        raise ValueError("Choi analysis needs the dual legs first "
-                         f"(factor order {'-' * J.m_in + '+' * J.n_out!r})")
+    if W.factor_order != J.factor_order:
+        raise ValueError(f"Choi analysis needs the dual legs first: {J.factor_order!r}")
 
 
 def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> BlockDiagReport:
@@ -205,7 +208,7 @@ def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
     split = W.split
     WJ = split.matmul(J.matrix)
     Z = np.empty_like(WJ)
-    for _, start, dg, mg in block_layout(W):
+    for _, start, dg, mg in W.layout:
         sl = slice(start, start + dg * mg)
         Wg = W.matrix[sl].reshape(mg, -1)  # row p holds the rows (p, q) for all q
         X = WJ[sl].reshape(mg, -1) @ Wg.conj().T / dg
@@ -238,9 +241,8 @@ def random_equivariant_choi(m_in: int, n_out: int, d: int,
                             rng: np.random.Generator,
                             W: SchurTransform | None = None) -> ChoiMatrix:
     """Twirled random CPTP Choi matrix; passes is_equivariant by construction."""
-    if W is None:
-        W = build_mixed_schur(n_out, m_in, d, "-" * m_in + "+" * n_out)
-    return twirl(random_cptp_choi(m_in, n_out, d, rng), W)
+    J = random_cptp_choi(m_in, n_out, d, rng)
+    return twirl(J, J.schur_transform() if W is None else W)
 
 
 # -- the 1 -> 2 qubit equivariant family ---------------------------------------
@@ -277,7 +279,7 @@ def example_channel_blocks(t: float, u: float, v: float, w: float,
     expected = np.zeros((8, 8), dtype=complex)
     expected[:4, :4] = np.kron(X, np.eye(2))
     expected[4:, 4:] = M[4, 4] * np.eye(4)
-    if np.abs(M - expected).max() > 8 * tol:
+    if not np.abs(M - expected).max() <= 8 * tol:  # NaN-safe
         raise AssertionError("conjugated Choi matrix lost its block shape")
     return {"A": complex(M[0, 0]), "B": complex(M[0, 2]),
             "C": complex(M[2, 0]), "D": complex(M[2, 2]),
@@ -300,6 +302,8 @@ def example_channel(t: float, u: float, v: float, w: float) -> ChoiMatrix:
     D = 1 - 4t - 2u + 4v, E = 1 + 2t - 2u - 2v.  Complete positivity depends
     on the parameters and is reported, not enforced.
     """
+    if not np.all(np.isfinite([t, u, v, w])):
+        raise ValueError(f"channel parameters must be finite, got t={t}, u={u}, v={v}, w={w}")
     paulis = (_X, _Y, _Z)
 
     def channel(rho):

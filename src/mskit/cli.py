@@ -8,10 +8,9 @@ exceeded, verification residual above tolerance, malformed input file),
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-
-import json
 
 import numpy as np
 
@@ -35,6 +34,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_bratteli(args) -> int:
+    bratteli.check_cap(args.d, args.n + args.m, _cap(args))
     diagram = bratteli.build(args.n, args.m, args.d)
     if args.dot:
         sys.stdout.write(bratteli.to_dot(diagram))
@@ -172,6 +172,8 @@ def _parse_label(text: str):
 def _parse_term(text: str, n: int, m: int):
     try:
         coeff, diagram = text.split(":", 1)
+        if not np.isfinite(float(coeff)):
+            raise ValueError("the coefficient must be finite")
         return float(coeff), brauer.parse_diagram(diagram, n, m)
     except ValueError as exc:
         raise ValueError(f"bad term {text!r}: expected coeff:pairs, "
@@ -294,6 +296,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.cmd == "verify" and not args.file and None in (args.n, args.m, args.d):
         ap.error("verify needs n m d or --file")
+    if args.cmd == "verify" and not (args.trials >= 1 and 0 < args.tol < np.inf):
+        ap.error("verify needs --trials >= 1 and a finite --tol > 0")
     try:
         return args.fn(args)
     except (CapExceeded, ValueError, OSError, RuntimeError) as exc:

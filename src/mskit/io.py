@@ -23,9 +23,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .bratteli import DEFAULT_CAP, CapExceeded, check_cap
+from .bratteli import DEFAULT_CAP, CapExceeded, check_cap, parse_factor_order, row_labels
 from .channels import ChoiMatrix
-from .schur import SchurTransform, parse_factor_order
+from .schur import SchurTransform
 from .staircase import dim, format_staircase, parse_staircase
 
 MAGIC = "mskit-matrix"
@@ -94,10 +94,9 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     """Parse a transform file; malformed content raises ValueError.
 
     The labels must be distinct, with staircases of length d, 0 <= q <
-    dim(gamma) and p >= 0, and must list complete (gamma, p) blocks in the
-    order build_mixed_schur writes them, which the verification routines
-    rely on.  A size d^(n+m) over cap raises CapExceeded before any matrix
-    is allocated.
+    dim(gamma) and p >= 0, and must equal row_labels(n, m, d), the labels of
+    every transform of that shape.  A size d^(n+m) over cap raises
+    CapExceeded before any matrix is allocated.
     """
     lines = f.read().splitlines()
     header = lines[0] if lines else ""
@@ -118,17 +117,12 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     basis = [_parse_label(line, d) for line in label_lines]
     if len(set(basis)) != size:
         raise ValueError("duplicate row labels")
-    mult: dict[tuple[int, ...], int] = {}
-    for g, _, p in basis:
-        mult[g] = max(mult.get(g, 0), p + 1)
-    if basis != [(g, q, p) for g in sorted(mult) for p in range(mult[g])
-                 for q in range(dim(g))]:
-        raise ValueError("row labels must list complete (gamma, p) blocks in "
-                         "ascending order, q fastest")
+    if basis != row_labels(n, m, d):
+        raise ValueError(f"row labels must list the (gamma, p) blocks of {(n, m, d)}, q fastest")
     matrix = _read_rows(lines[2 + size:2 + 2 * size], size, size)
     if np.abs(matrix.imag).max() == 0.0:
         matrix = np.ascontiguousarray(matrix.real)
-    return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=matrix, basis=basis)
+    return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=matrix)
 
 
 def _parse_label(line: str, d: int) -> tuple[tuple[int, ...], int, int]:

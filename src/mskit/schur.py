@@ -7,7 +7,9 @@ per tensor leg, defining or dual according to factor_order; the sequence of
 intermediate staircases seen by each output block is a path in the box
 add/remove tower, which fixes the multiplicity label.  Each leg costs one
 GEMM per staircase reached so far, over all segments ending there at once,
-and makes no transposed copy of its output.
+and makes no transposed copy of its output.  The labels of the rows are a
+function of (n, m, d) alone, bratteli.row_layout, and io rejects a
+transform file whose labels differ from it.
 
 The GT basis conserves weight, so W is block diagonal once rows are grouped
 by pattern weight and columns by computational weight (weight_sectors).  Both
@@ -41,16 +43,10 @@ import numpy as np
 import scipy.sparse
 
 from . import brauer
-from .bratteli import DEFAULT_CAP, check_cap
+from .bratteli import DEFAULT_CAP, check_cap, parse_factor_order, row_labels, row_layout
 from .cg import cg_transform
 from .gelfand import pattern_weights
 from .staircase import Staircase, dim
-
-def parse_factor_order(order: str, n: int, m: int) -> str:
-    order = order.replace("−", "-")  # tolerate unicode minus
-    if sorted(order) != sorted("+" * n + "-" * m):
-        raise ValueError(f"factor order {order!r} must contain {n} '+' and {m} '-'")
-    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +64,14 @@ class SchurTransform:
     d: int
     factor_order: str
     matrix: np.ndarray
-    basis: list[tuple[Staircase, int, int]]  # (staircase, GT index, path index)
     # vertex sequence of the tower path behind each multiplicity label
     path_of: dict[tuple[Staircase, int], tuple[Staircase, ...]] = field(
         default=None, repr=False)
 
     def __post_init__(self):
         matrix = self.matrix
+        if matrix.shape != (self.d ** (self.n + self.m),) * 2:
+            raise ValueError(f"a {matrix.shape} matrix does not fit {(self.n, self.m, self.d)}")
         if matrix.base is not None:
             matrix = matrix.copy()
             object.__setattr__(self, "matrix", matrix)
@@ -84,9 +81,15 @@ class SchurTransform:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def layout(self) -> tuple[tuple[Staircase, int, int, int], ...]:
+        """(gamma, start, dim, mult) of each label block: row_layout(n, m, d)."""
+        return row_layout(self.n, self.m, self.d)
+
     @cached_property
-    def row_of(self) -> dict[tuple[Staircase, int, int], int]:
-        return {lab: k for k, lab in enumerate(self.basis)}
+    def basis(self) -> list[tuple[Staircase, int, int]]:
+        """(staircase, GT index, path index) of every row, in row order."""
+        return row_labels(self.n, self.m, self.d)
 
     @cached_property
     def sectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,17 +101,14 @@ class SchurTransform:
         return _SectorSplit(self)
 
     def row_index(self, gamma: Staircase, q: int, p: int) -> int:
-        try:
-            return self.row_of[(tuple(gamma), q, p)]
-        except KeyError:
-            raise ValueError(f"no basis label ({gamma}, q={q}, p={p})") from None
+        for g, start, dg, mg in self.layout:
+            if g == tuple(gamma) and q in range(dg) and p in range(mg):
+                return start + p * dg + q
+        raise ValueError(f"no basis label ({gamma}, q={q}, p={p})")
 
     def census(self) -> list[tuple[Staircase, int, int]]:
-        """(gamma, dim, mult) pairs recovered from the basis labels."""
-        mult: dict[Staircase, int] = {}
-        for g, q, p in self.basis:
-            mult[g] = max(mult.get(g, 0), p + 1)
-        return [(g, dim(g), mult[g]) for g in sorted(mult)]
+        """(gamma, dim, mult) of each label block, in row order."""
+        return [(g, dg, mg) for g, _, dg, mg in self.layout]
 
     def unitarity_residual(self) -> float:
         """Upper bound on max |W W^dagger - I|, exact when W conserves weight.
@@ -171,22 +171,19 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
                     new_segments.append((path + (target,), out[a, :, off:off + sz]))
         segments = new_segments
 
+    # sorted, the segments are the (gamma, p) label blocks, p in path order
     segments.sort(key=lambda s: (s[0][-1], s[0]))
-    basis = []
+    slots = [(g, p, start + p * dg) for g, start, dg, mg in row_layout(n, m, d) for p in range(mg)]
+    if [g for g, _, _ in slots] != [path[-1] for path, _ in segments]:
+        raise RuntimeError(f"cascade segments do not follow row_layout{(n, m, d)}")
     # filled block by block: np.vstack of the transposed views would return
     # W in Fortran order, which slows every row-wise consumer
     W = np.empty((size, size))
     path_of: dict[tuple[Staircase, int], tuple[Staircase, ...]] = {}
-    mult_seen: dict[Staircase, int] = {}
-    for path, block in segments:
-        g = path[-1]
-        p = mult_seen.get(g, 0)
-        mult_seen[g] = p + 1
+    for (g, p, row), (path, block) in zip(slots, segments):
         path_of[(g, p)] = path
-        W[len(basis):len(basis) + block.shape[1]] = block.T
-        basis.extend((g, q, p) for q in range(block.shape[1]))
-    return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=W,
-                          basis=basis, path_of=path_of)
+        W[row:row + block.shape[1]] = block.T
+    return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=W, path_of=path_of)
 
 
 # -- applying mixed tensor operators ------------------------------------------
@@ -252,17 +249,6 @@ class BlockDiagReport:
     blocks: dict[Staircase, np.ndarray]
 
 
-def block_layout(W: SchurTransform) -> list[tuple[Staircase, int, int, int]]:
-    """(gamma, offset, dim, mult) for the contiguous label blocks of W."""
-    out = []
-    start = 0
-    for g, dg, mg in W.census():
-        out.append((g, start, dg, mg))
-        start += dg * mg
-    assert start == W.size
-    return out
-
-
 def _fit_block(B: np.ndarray, dg: int, mg: int, extract: str):
     """(X, fit) for one diagonal label block B, see block_fits."""
     cube = B.reshape(mg, dg, mg, dg)
@@ -283,7 +269,7 @@ def block_fits(W: SchurTransform, M: np.ndarray, extract: str):
     as X (x) Id_dim, X the partial trace over GT indices divided by dim.
     fit is that block form, of the same shape as M[slice, slice].
     """
-    for g, start, dg, mg in block_layout(W):
+    for g, start, dg, mg in W.layout:
         sl = slice(start, start + dg * mg)
         yield (g, sl) + _fit_block(M[sl, sl], dg, mg, extract)
 
@@ -300,7 +286,7 @@ def _structured_residuals(W: SchurTransform, column_block, extract: str) -> Bloc
     """
     blocks: dict[Staircase, np.ndarray] = {}
     off_res = struct_res = 0.0
-    for g, start, dg, mg in block_layout(W):
+    for g, start, dg, mg in W.layout:
         sl = slice(start, start + dg * mg)
         C = column_block(sl)
         blocks[g], fit = _fit_block(C[sl], dg, mg, extract)
@@ -320,7 +306,7 @@ def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
     """
     factors = mixed_tensor_factors(np.asarray(U, dtype=complex), W.factor_order)
     split = W.split
-    entries = W.size * max(dg * mg for _, _, dg, mg in block_layout(W))
+    entries = W.size * max(dg * mg for _, _, dg, mg in W.layout)
     work = (np.empty(entries, dtype=complex), np.empty(entries, dtype=complex))
 
     def column_block(sl):
@@ -357,10 +343,8 @@ def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarra
     '-' leg.  A correct W is zero wherever row_sector[a] != col_sector[c].
     The arrays are read-only; W.sectors keeps them on the transform.
     """
-    gammas = sorted({g for g, _, _ in W.basis})
-    table = np.concatenate([pattern_weights(g) for g in gammas])
-    start = dict(zip(gammas, np.cumsum([0] + [dim(g) for g in gammas])))
-    row_w = table[[start[g] + q for g, q, _ in W.basis]]
+    row_w = np.concatenate([np.tile(pattern_weights(g), (mg, 1))
+                            for g, _, _, mg in W.layout])
     col_w = np.zeros((W.size, W.d), dtype=np.int64)
     cols = np.arange(W.size)
     reps = W.size
@@ -475,7 +459,7 @@ def ptpqp_amplitude(n: int, m: int, d: int,
     """|<to| W e^{-iHt} Wt |from>|^2 for H a combination of diagram operators.
 
     The Hamiltonian must come out Hermitian (diagram terms closed under
-    vertical flip with conjugate coefficients); otherwise this raises.
+    vertical flip with conjugate coefficients) and t finite; otherwise this raises.
 
     H lies in the walled Brauer algebra, so by mixed Schur-Weyl duality
     W H Wt = (+)_gamma Id_dim(gamma) (x) P_gamma(H), and e^{-iHt} acts the
@@ -484,12 +468,14 @@ def ptpqp_amplitude(n: int, m: int, d: int,
     m_gamma x m_gamma multiplicity block read from the rows (gamma, q, .) of
     W against the sparse H.  No D x D dense matrix is formed.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"time t = {t} is not finite")
     W = build_mixed_schur(n, m, d, factor_order, cap=cap)
     H = scipy.sparse.csr_matrix((W.size, W.size), dtype=complex)
     for coeff, sigma in hamiltonian:
         H = H + coeff * brauer.represent(sigma, d, cap=cap, order=W.factor_order).tocsr()
     herm_defect = float(abs(H - H.conj().T).max())
-    if herm_defect > 1e-12:
+    if not herm_defect <= 1e-12:  # NaN-safe
         raise ValueError(f"hamiltonian is not hermitian (defect {herm_defect:.2e}); "
                          "include the flipped diagram with the conjugate coefficient")
     for label in (from_label, to_label):
@@ -497,8 +483,8 @@ def ptpqp_amplitude(n: int, m: int, d: int,
     (g, q, p_from), (g_to, q_to, p_to) = from_label, to_label
     if (tuple(g), q) != (tuple(g_to), q_to):
         return 0.0
-    mult = next(mg for g_, _, mg in W.census() if g_ == tuple(g))
-    R = W.matrix[[W.row_index(g, q, p) for p in range(mult)]]
+    _, start, dg, mg = next(b for b in W.layout if b[0] == tuple(g))
+    R = W.matrix[start + q:start + dg * mg:dg]  # the rows (g, q, p), p = 0 .. mg - 1
     P_g = R @ (H @ R.T)
     evals, v = np.linalg.eigh((P_g + P_g.conj().T) / 2)
     amp = (v[p_to] * np.exp(-1j * t * evals)) @ v[p_from].conj()

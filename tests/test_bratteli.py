@@ -173,3 +173,17 @@ def test_census_is_sorted_by_staircase():
     gs = [g for g, _, _ in entries]
     assert gs == sorted(gs)
     assert all(dim(g) == dg for g, dg, _ in entries)
+
+
+@pytest.mark.parametrize("n,m,d", [(2, 1, 2), (2, 2, 3), (3, 3, 2), (0, 0, 3), (2, 1, 1)])
+def test_row_layout_places_every_label(n, m, d):
+    from mskit.bratteli import row_labels, row_layout
+
+    layout = row_layout(n, m, d)
+    assert layout is row_layout(n, m, d)
+    assert [(g, dg, mg) for g, _, dg, mg in layout] == census(n, m, d)
+    labels = row_labels(n, m, d)
+    assert len(labels) == d ** (n + m)
+    for row, (g, q, p) in enumerate(labels):
+        _, start, dg, mg = next(b for b in layout if b[0] == g)
+        assert row == start + p * dg + q and 0 <= q < dg and 0 <= p < mg

@@ -224,3 +224,18 @@ def test_m2_success_probability():
     assert abs(float(m2_success_probability(5000)) - 0.5) < 1e-3
     with pytest.raises(ValueError):
         m2_success_probability(1)
+
+
+def test_choi_factor_order_is_dual_legs_first():
+    J = random_cptp_choi(2, 1, 2, rng_from_seed(3))
+    assert J.factor_order == "--+"
+    assert J.schur_transform().factor_order == J.factor_order
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_example_channel_rejects_non_finite_parameters(bad):
+    for k in range(4):
+        params = [0.05, 0.01, 0.0, 0.0]
+        params[k] = bad
+        with pytest.raises(ValueError, match="finite"):
+            example_channel(*params)

@@ -48,6 +48,7 @@ def test_census_cap_exit_code(capsys):
     ["verify", "100000000", "0", "2"],
     ["ptpqp", "100000000", "0", "2", "--term", "1:t1-b1", "--time", "1",
      "--from", "[1,0]:0:0", "--to", "[1,0]:0:0"],
+    ["bratteli", "60", "60", "60"],
 ], ids=lambda argv: argv[0])
 def test_huge_sizes_fail_the_cap_check_at_once(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -335,3 +336,32 @@ def test_verify_file_with_complex_phases(tmp_path, capsys):
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert lines["unitarity"].endswith(" ok")
     assert lines["multiplicity structure"].endswith(" FAIL")
+
+
+@pytest.mark.parametrize("term,time", [("nan:t1-b1,t2-b2", "1.3"), ("inf:t1-b1,t2-b2", "1.3"),
+                                       ("0.7:t1-b1,t2-b2", "nan"), ("0.7:t1-b1,t2-b2", "inf")])
+def test_ptpqp_non_finite_input_is_one_line_error(capsys, term, time):
+    code, out, err = run(capsys, "ptpqp", "1", "1", "2", "--term", term, "--time", time,
+                         "--from", "[1,-1]:0:0", "--to", "[1,-1]:0:0")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"], ["--tol", "nan"],
+                                   ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-10"]])
+def test_verify_rejects_bad_trials_and_tol(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "2", "1", "2", *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("schur", [[], ["--schur"]])
+def test_channel_example_non_finite_is_one_line_error(tmp_path, capsys, schur):
+    out_file = tmp_path / "choi"
+    for argv in (schur, schur + ["--out", str(out_file)]):
+        code, out, err = run(capsys, "channel", "example", "--t", "nan", "--u", "0",
+                             "--v", "0", "--w", "0", *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "finite" in err
+    assert not out_file.exists()

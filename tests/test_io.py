@@ -212,3 +212,16 @@ def test_written_rows_match_entry_by_entry_formatting():
     ]
     for M in cases:
         assert dumps(write_matrix, M).split("\n", 1)[1] == entry_by_entry(M)
+
+
+def test_labels_must_be_those_of_the_shape():
+    # complete (gamma, p) blocks in ascending order, but not the blocks of
+    # (2, 2, 2): the two [0,0] blocks are relabeled as [3,3], also of dim 1
+    lines = _schur_lines(2, 2, 2)
+    labels = lines[2:18]
+    assert labels[:2] == ["gamma=[0,0] q=0 p=0", "gamma=[0,0] q=0 p=1"]
+    relabeled = labels[2:] + ["gamma=[3,3] q=0 p=0", "gamma=[3,3] q=0 p=1"]
+    rows = lines[18:]
+    text = "".join(line + "\n" for line in lines[:2] + relabeled + rows[2:] + rows[:2])
+    with pytest.raises(ValueError, match="blocks"):
+        read_schur(io.StringIO(text))

@@ -381,3 +381,42 @@ def test_channel_products_share_the_split(splits_made):
     rep = choi_to_schur(J, W)
     assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
     assert len(splits_made) == 1 and splits_made[0] is W
+
+
+def test_labels_come_from_the_row_layout():
+    from mskit.bratteli import row_labels
+
+    for order in ("++--", "+-+-", "--++"):
+        W = build_mixed_schur(2, 2, 2, order)
+        assert W.basis == row_labels(2, 2, 2)
+        assert [W.row_index(*lab) for lab in W.basis] == list(range(W.size))
+    with pytest.raises(TypeError):
+        schur.SchurTransform(n=1, m=1, d=2, factor_order="+-", matrix=np.eye(4),
+                             basis=W.basis)
+    with pytest.raises(ValueError, match="does not fit"):
+        schur.SchurTransform(n=1, m=1, d=2, factor_order="+-", matrix=np.eye(3))
+
+
+def test_build_rejects_segments_off_the_layout(monkeypatch):
+    # a layout whose blocks come in another order than the cascade's segments
+    layout = bratteli.row_layout(2, 1, 2)
+    monkeypatch.setattr(schur, "row_layout", lambda n, m, d: layout[::-1])
+    with pytest.raises(RuntimeError, match="row_layout"):
+        build_mixed_schur(2, 1, 2)
+
+
+@pytest.mark.parametrize("coeff,t", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                     (1.0, float("nan")), (1.0, float("inf"))])
+def test_ptpqp_rejects_non_finite_input(coeff, t):
+    label = ((1, -1), 0, 0)
+    with pytest.raises(ValueError, match="not hermitian|not finite"):
+        ptpqp_amplitude(1, 1, 2, [(coeff, brauer.identity(1, 1))], t, label, label)
+
+
+def test_parse_factor_order_is_shared():
+    assert parse_factor_order is bratteli.parse_factor_order
+    sigma = brauer.from_permutation((1, 0, 2), 2, 1)
+    want = brauer.represent(sigma, 2, order="+-+").toarray()
+    assert np.array_equal(brauer.represent(sigma, 2, order="+−+").toarray(), want)
+    with pytest.raises(ValueError, match="factor order"):
+        brauer.represent(sigma, 2, order="++-+")
