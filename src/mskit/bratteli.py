@@ -32,10 +32,16 @@ class CapExceeded(ValueError):
 
 
 def check_cap(d: int, legs: int, cap: int) -> None:
-    """Raise CapExceeded when d^legs > cap, without computing a huge power."""
-    # d >= 2 and legs >= cap.bit_length() already exceed the cap
-    if (d > 1 and legs >= cap.bit_length()) or d ** legs > cap:
-        raise CapExceeded(f"d^(n+m) = {d}^{legs} exceeds cap {cap}")
+    """Raise CapExceeded when d^legs > cap or legs >= cap.bit_length().
+
+    For d >= 2 the leg bound follows from the size bound and spares a huge
+    power; it also bounds d = 1, whose size is 1 at any number of legs but
+    whose towers grow with it.
+    """
+    if legs >= cap.bit_length() or d ** legs > cap:
+        raise CapExceeded(f"d^(n+m) = {d}^{legs} exceeds cap {cap}" if d > 1 else
+                          f"n+m = {legs} legs exceeds cap {cap}, which allows "
+                          f"{cap.bit_length() - 1}")
 
 
 def standard_types(n: int, m: int) -> tuple[int, ...]:

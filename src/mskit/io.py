@@ -3,7 +3,9 @@
 All files start with a header line "mskit-matrix 1 ...".  Matrix rows are
 written one per line, entries as "re,im" pairs separated by single spaces,
 using shortest round-trip float formatting; identical inputs produce byte
-identical files.
+identical files.  A zero entry is the literal "0.0,0.0"; -0.0 keeps its sign
+("-0.0,0.0").  The writer formats, and the reader parses, only the other
+entries, so either costs one scan of the tokens plus the nonzero entries.
 
 Schur transform:   mskit-matrix 1 <n> <m> <d>
                    <factor order as +/- string>
@@ -30,34 +32,44 @@ from .staircase import dim, format_staircase, parse_staircase
 
 MAGIC = "mskit-matrix"
 VERSION = "1"
+ZERO = "0.0,0.0"  # the spelling of a +0.0 + 0.0j entry
 
 
 def _write_rows(f: TextIO, matrix: np.ndarray) -> None:
-    # tolist hands repr Python floats directly, with no numpy scalar per entry;
-    # converting row by row keeps the Python objects to one row at a time
+    # only entries with a set bit in either part are formatted; every other
+    # entry is +0.0 + 0.0j, which repr spells ZERO.  tolist hands repr Python
+    # floats directly, and one row at a time bounds the Python objects
     for row in np.atleast_2d(matrix):
-        re, im = row.real.astype(float).tolist(), row.imag.astype(float).tolist()
-        f.write(" ".join(f"{a!r},{b!r}" for a, b in zip(re, im)))
+        re, im = row.real.astype(float), row.imag.astype(float)
+        cols = np.flatnonzero(re.view(np.uint64) | im.view(np.uint64))
+        tokens = [ZERO] * len(re)
+        for k, a, b in zip(cols.tolist(), re[cols].tolist(), im[cols].tolist()):
+            tokens[k] = f"{a!r},{b!r}"
+        f.write(" ".join(tokens))
         f.write("\n")
 
 
 def _read_rows(lines: list[str], dim_rows: int, dim_cols: int) -> np.ndarray:
     if len(lines) != dim_rows:
         raise ValueError(f"expected {dim_rows} matrix rows, found {len(lines)}")
-    # each row's 2 * dim_cols floats are parsed in one pass into the float
-    # view of the complex result: re and im of an entry sit side by side
-    matrix = np.empty((dim_rows, dim_cols), dtype=complex)
-    out = matrix.view(float)
+    # ZERO tokens stay 0.0 in the zeroed result; a row's other entries are
+    # parsed in one pass, re and im side by side as in a complex array
+    matrix = np.zeros((dim_rows, dim_cols), dtype=complex)
     commas = itertools.repeat(",")
     for r, line in enumerate(lines):
         parts = line.split()
         if len(parts) != dim_cols:
             raise ValueError(f"row {r}: expected {dim_cols} entries, found {len(parts)}")
+        cols = slice(None)  # a row with no ZERO token is parsed whole
+        if ZERO in parts:
+            cols = [k for k, p in enumerate(parts) if p != ZERO]
+            parts = [parts[k] for k in cols]
+            if not parts:
+                continue
         try:
             if set(map(str.count, parts, commas)) != {1}:
                 raise ValueError
-            out[r] = np.fromiter(map(float, ",".join(parts).split(",")), float,
-                                 2 * dim_cols)
+            pairs = np.fromiter(map(float, ",".join(parts).split(",")), float, 2 * len(parts))
         except ValueError:
             for p in parts:  # the first entry that is not a re,im pair of floats
                 try:
@@ -67,6 +79,7 @@ def _read_rows(lines: list[str], dim_rows: int, dim_cols: int) -> np.ndarray:
                     raise ValueError(f"row {r}: entry {p!r} is not a re,im pair "
                                      "of floats") from None
             raise
+        matrix[r, cols] = pairs.view(complex)
     return matrix
 
 
@@ -120,7 +133,7 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     if basis != row_labels(n, m, d):
         raise ValueError(f"row labels must list the (gamma, p) blocks of {(n, m, d)}, q fastest")
     matrix = _read_rows(lines[2 + size:2 + 2 * size], size, size)
-    if np.abs(matrix.imag).max() == 0.0:
+    if not matrix.imag.view(np.uint64).any():  # every imaginary part is +0.0
         matrix = np.ascontiguousarray(matrix.real)
     return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=matrix)
 

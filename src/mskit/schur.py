@@ -326,7 +326,8 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
     """
     if (sigma.n, sigma.m) != (W.n, W.m):
         raise ValueError("diagram size does not match the transform")
-    A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, W.size),
+    # a cap that admits W's own shape, d = 1 included
+    A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, 2 ** (W.n + W.m), W.size),
                          order=W.factor_order).tocsr()
     split = W.split
     return _structured_residuals(

@@ -55,6 +55,15 @@ def test_census_cap():
         census(10, 10, 3, cap=4096)
 
 
+def test_cap_bounds_the_legs_at_d1():
+    # d^(n+m) is 1 at d = 1, so the cap bounds the legs as it does for d = 2
+    assert len(census(12, 0, 1, cap=4096)) == 1
+    for n, m in ((13, 0), (6, 7), (100000000, 0)):
+        with pytest.raises(CapExceeded, match="legs exceeds cap"):
+            census(n, m, 1, cap=4096)
+    assert len(census(13, 0, 1, cap=8192)) == 1
+
+
 @pytest.mark.parametrize("n,m,d", [
     (n, m, d) for d in (2, 3, 4) for n in range(4) for m in range(4)
     if d ** (n + m) <= 4096

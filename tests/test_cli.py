@@ -49,6 +49,10 @@ def test_census_cap_exit_code(capsys):
     ["ptpqp", "100000000", "0", "2", "--term", "1:t1-b1", "--time", "1",
      "--from", "[1,0]:0:0", "--to", "[1,0]:0:0"],
     ["bratteli", "60", "60", "60"],
+    # 1^(n+m) is 1: the cap bounds the legs at d = 1
+    pytest.param(["census", "100000000", "0", "1"], id="census d=1"),
+    pytest.param(["bratteli", "100000000", "0", "1"], id="bratteli d=1"),
+    pytest.param(["schur", "100000000", "0", "1"], id="schur d=1"),
 ], ids=lambda argv: argv[0])
 def test_huge_sizes_fail_the_cap_check_at_once(capsys, argv):
     code, out, err = run(capsys, *argv)

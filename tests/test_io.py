@@ -1,13 +1,15 @@
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mskit.bratteli import CapExceeded
 from mskit.channels import example_channel
-from mskit.io import (dumps, read_choi, read_matrix, read_schur, write_choi,
-                      write_matrix, write_schur)
+from mskit.io import (_read_rows, _write_rows, dumps, read_choi, read_matrix,
+                      read_schur, write_choi, write_matrix, write_schur)
 from mskit.rand import random_density, rng_from_seed
 from mskit.schur import build_mixed_schur
 
@@ -95,6 +97,12 @@ MALFORMED_SCHUR = {
     "negative n": (_replaced(_L, 0, "mskit-matrix 1 -1 1 2"), "bad header"),
     "over the cap": (["mskit-matrix 1 40 40 3"], "exceeds cap"),
 }
+# a bad token among the 0.0,0.0 tokens of a mostly zero row must be named
+_ZEROS = ["0.0,0.0"] * 4
+for _bad in ("0.0,0.0,0.0", "0.0", "0.0;0.0"):
+    MALFORMED_SCHUR[f"{_bad} among zeros"] = (
+        _replaced(_L, 7, " ".join(_ZEROS[:2] + [_bad] + _ZEROS[3:])),
+        re.escape(f"row 1: entry {_bad!r} is not a re,im pair"))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCHUR))
@@ -134,6 +142,13 @@ MALFORMED_CHANNEL_FILES = {
     "matrix entry not a float": (read_matrix, _replaced(_RHO, 2, "a,b" + _RHO[2][_RHO[2].index(" "):]),
                                  "re,im pair"),
 }
+for _bad in ("0.0,0.0,0.0", "0.0", "0.0;0.0"):
+    MALFORMED_CHANNEL_FILES[f"choi {_bad} among zeros"] = (
+        read_choi, _replaced(_CHOI, 4, " ".join(["0.0,0.0"] * 5 + [_bad] + ["0.0,0.0"] * 2)),
+        re.escape(f"row 3: entry {_bad!r} is not a re,im pair"))
+    MALFORMED_CHANNEL_FILES[f"matrix {_bad} among zeros"] = (
+        read_matrix, _replaced(_RHO, 2, f"0.0,0.0 {_bad}"),
+        re.escape(f"row 1: entry {_bad!r} is not a re,im pair"))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CHANNEL_FILES))
@@ -141,6 +156,17 @@ def test_malformed_choi_and_matrix_rejected(case):
     reader, lines, match = MALFORMED_CHANNEL_FILES[case]
     with pytest.raises(ValueError, match=match):
         reader(io.StringIO("".join(line + "\n" for line in lines)))
+
+
+def test_d1_leg_count_checked_before_labels(monkeypatch):
+    # 1^200000 is 1, but the labels would need a 200000-level tower
+    def no_labels(*args):
+        raise AssertionError("labels built before the cap check")
+
+    monkeypatch.setattr("mskit.io.row_labels", no_labels)
+    text = "mskit-matrix 1 200000 0 1\n" + "+" * 200000 + "\ngamma=[200000] q=0 p=0\n1.0,0.0\n"
+    with pytest.raises(CapExceeded):
+        read_schur(io.StringIO(text))
 
 
 def test_choi_and_matrix_cap_checked_before_reading():
@@ -165,6 +191,15 @@ def test_read_schur_returns_a_contiguous_real_matrix():
     C = read_schur(io.StringIO(dumps(write_schur, phased)))
     assert C.matrix.dtype == complex and C.matrix.base is None
     assert np.array_equal(C.matrix, phased.matrix)
+
+
+def test_read_schur_keeps_negative_zero_imaginary_parts():
+    W = build_mixed_schur(2, 1, 2)
+    M = np.empty(W.matrix.shape, dtype=complex)
+    M.real, M.imag = W.matrix, -0.0
+    R = read_schur(io.StringIO(dumps(write_schur, dataclasses.replace(W, matrix=M))))
+    assert R.matrix.dtype == complex
+    assert np.array_equal(R.matrix.view(np.uint64), M.view(np.uint64))
 
 
 def test_entries_parse_as_python_floats():
@@ -225,3 +260,94 @@ def test_labels_must_be_those_of_the_shape():
     text = "".join(line + "\n" for line in lines[:2] + relabeled + rows[2:] + rows[:2])
     with pytest.raises(ValueError, match="blocks"):
         read_schur(io.StringIO(text))
+
+
+def test_other_spellings_of_zero_keep_their_signs():
+    text = ("mskit-matrix 1 matrix 3\n"
+            "0.0,0.0 -0.0,0.0 0.0,0.0\n"
+            "0,0 0.0,-0.0 0e0,0.0\n"
+            "0.0,0.0 0.0,0.0 -0.0,-0.0\n")
+    M = read_matrix(io.StringIO(text))
+    signs = [[(False, False), (True, False), (False, False)],
+             [(False, False), (False, True), (False, False)],
+             [(False, False), (False, False), (True, True)]]
+    assert not M.any()
+    assert [[(bool(np.signbit(z.real)), bool(np.signbit(z.imag))) for z in row]
+            for row in M] == signs
+
+
+def test_tokens_containing_the_zero_spelling_are_parsed():
+    # only a whole 0.0,0.0 token is skipped, not one that merely contains it
+    text = ("mskit-matrix 1 matrix 4\n"
+            "0.0,0.0 0.0,0.05 10.0,0.0 0.0,0.0\n"
+            "0.0,0.0 0.0,0.0 0.0,0.0 0.0,0.0\n"
+            "0.0,0.0e7 0.0,0.0 -10.0,0.01 0.0,0.0\n"
+            "1.0,0.0 0.0,0.0 0.0,0.0 0.0,0.001\n")
+    want = np.zeros((4, 4), dtype=complex)
+    want[0, 1], want[0, 2], want[2, 2], want[3, 0], want[3, 3] = 0.05j, 10, -10 + 0.01j, 1, 0.001j
+    assert np.array_equal(read_matrix(io.StringIO(text)), want)
+
+
+def repr_rows(matrix):
+    """The rows as written before zero entries were spelled without repr:
+    every entry formatted, one row at a time."""
+    out = []
+    for row in np.atleast_2d(matrix):
+        real, imag = row.real.astype(float).tolist(), row.imag.astype(float).tolist()
+        out.append(" ".join(f"{a!r},{b!r}" for a, b in zip(real, imag)) + "\n")
+    return "".join(out)
+
+
+def written_rows(matrix):
+    buf = io.StringIO()
+    _write_rows(buf, matrix)
+    return buf.getvalue()
+
+
+# entries with every special value the writer must spell as repr does
+_FLOATS = st.one_of(st.floats(allow_nan=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     -1e-310, np.inf, -np.inf]))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A real or complex matrix whose entries are +0.0 by a random mask."""
+    shape = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    parts = st.lists(_FLOATS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    masks = st.lists(st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    real, zero = np.array(draw(parts)), np.array(draw(masks))
+    real[zero] = 0.0
+    if draw(st.booleans()):
+        return real.reshape(shape)
+    M = np.empty(shape, dtype=complex)
+    M.real, M.imag = real.reshape(shape), np.array(draw(parts)).reshape(shape)
+    M.imag[(zero & np.array(draw(masks))).reshape(shape)] = 0.0
+    return M
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rows_match_the_repr_writer_and_read_back_bit_equal(M):
+    rows = written_rows(M)
+    assert rows == repr_rows(M)
+    R = _read_rows(rows.splitlines(), *M.shape)
+    want = M.astype(complex)  # a real matrix reads back with +0.0 imaginary parts
+    assert R.dtype == want.dtype
+    assert np.array_equal(R.view(np.uint64), want.view(np.uint64))
+
+
+# the transforms of the benchmark's file round trips, and one at D = 4096
+@pytest.mark.parametrize("n, m, d, order", [
+    (5, 5, 2, None), (3, 3, 3, None), (2, 2, 4, "+-+-"), (3, 2, 3, "+-+-+"), (2, 1, 4, None),
+    (3, 3, 4, None),
+])
+def test_schur_rows_match_the_repr_writer(n, m, d, order):
+    W = build_mixed_schur(n, m, d, order)
+    for start in range(0, W.size, 512):  # 512 rows at a time bounds the text held
+        block = W.matrix[start:start + 512]
+        rows = written_rows(block)
+        assert rows == repr_rows(block)
+        R = _read_rows(rows.splitlines(), *block.shape)
+        assert np.array_equal(R.real.view(np.uint64), block.view(np.uint64))
+        assert not R.imag.view(np.uint64).any()

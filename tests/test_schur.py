@@ -33,6 +33,14 @@ def test_one_dimensional_qudits():
     assert weight_check(W) < 1e-14
 
 
+def test_one_dimensional_qudits_past_the_default_cap():
+    # 14 legs at d = 1 need a cap of 2^14; the Brauer check admits W's shape
+    W = build_mixed_schur(8, 6, 1, cap=1 << 14)
+    assert W.basis == [((2,), 0, 0)]
+    rep = verify_brauer(W, brauer.identity(8, 6))
+    assert rep.off_block_residual == 0.0 and rep.structure_residual == 0.0
+
+
 def test_single_leg_transforms():
     W = build_mixed_schur(1, 0, 3)
     assert np.allclose(W.matrix, np.eye(3))
