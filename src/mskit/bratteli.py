@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 from .staircase import (Staircase, add_box_set, dim, format_staircase,
@@ -225,36 +224,6 @@ def decode_path(n: int, m: int, d: int, bits: str) -> BratteliPath:
             raise ValueError(f"step {k}: {cand} is not a staircase")
         vertices.append(cand)
     return BratteliPath(vertices=tuple(vertices), types=types)
-
-
-# -- multiplicity bound helpers -----------------------------------------------
-
-def hook_length_count(lam: tuple[int, ...]) -> int:
-    """Number of standard Young tableaux of partition shape lam."""
-    lam = tuple(x for x in lam if x)
-    if any(x <= 0 for x in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"not a partition: {lam}")
-    n = sum(lam)
-    if n == 0:
-        return 1
-    cols = [sum(1 for r in lam if r > c) for c in range(lam[0])]
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= row - j + cols[j] - i - 1
-    return math.factorial(n) // hooks
-
-
-def multiplicity_bound(gamma: Staircase, n: int, m: int) -> int:
-    """Combinatorial upper bound on the multiplicity of gamma = [alpha, beta]."""
-    from .staircase import to_pair
-
-    alpha, beta = to_pair(gamma)
-    k = n - sum(alpha)
-    if k != m - sum(beta) or k < 0:
-        raise ValueError(f"{gamma} cannot occur at (n, m) = ({n}, {m})")
-    return (math.comb(n, k) * math.comb(m, k) * math.factorial(k)
-            * hook_length_count(alpha) * hook_length_count(beta))
 
 
 # -- exports ------------------------------------------------------------------

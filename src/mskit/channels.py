@@ -188,11 +188,10 @@ def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> BlockDiagReport:
     is W K[sl]^dagger, another, so W J W^dagger is never held whole.
     """
     _check_transform(J, W)
-    split = W.split
     # np.conjugate with order="C" transposes and conjugates in one pass
-    K = split.matmul(np.conjugate(J.matrix.T, order="C"))
+    K = W.matmul(np.conjugate(J.matrix.T, order="C"))
     return _structured_residuals(
-        W, lambda sl: split.matmul(np.conjugate(K[sl].T, order="C")), "mult")
+        W, lambda sl: W.matmul(np.conjugate(K[sl].T, order="C")), "mult")
 
 
 def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
@@ -205,16 +204,15 @@ def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
     D x D product against W is formed.
     """
     _check_transform(J, W)
-    split = W.split
-    WJ = split.matmul(J.matrix)
+    WJ = W.matmul(J.matrix)
     Z = np.empty_like(WJ)
     for _, start, dg, mg in W.layout:
         sl = slice(start, start + dg * mg)
-        Wg = W.matrix[sl].reshape(mg, -1)  # row p holds the rows (p, q) for all q
+        Wg = W.take_rows(sl).reshape(mg, -1)  # row p holds the rows (p, q) for all q
         X = WJ[sl].reshape(mg, -1) @ Wg.conj().T / dg
         Z[sl] = (X @ Wg).reshape(dg * mg, -1)
     return ChoiMatrix(n_out=J.n_out, m_in=J.m_in, d=J.d,
-                      matrix=split.matmul(Z, adjoint=True))
+                      matrix=W.matmul(Z, adjoint=True))
 
 
 def random_cptp_choi(m_in: int, n_out: int, d: int, rng: np.random.Generator,

@@ -296,6 +296,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.cmd == "verify" and not args.file and None in (args.n, args.m, args.d):
         ap.error("verify needs n m d or --file")
+    if args.cmd == "verify" and args.file and (args.n is not None or args.order is not None):
+        ap.error("verify takes n m d [--order] or --file, not both")
     if args.cmd == "verify" and not (args.trials >= 1 and 0 < args.tol < np.inf):
         ap.error("verify needs --trials >= 1 and a finite --tol > 0")
     try:

@@ -159,15 +159,3 @@ def subduce(gamma: Staircase) -> tuple[tuple[Staircase, int, int], ...]:
 def subduce_offsets(gamma: Staircase) -> Mapping[Staircase, int]:
     """Second row -> offset map derived from :func:`subduce`, read-only."""
     return MappingProxyType({mu: off for mu, off, _ in subduce(gamma)})
-
-
-def pattern_to_json(pattern: GTPattern) -> list[list[int]]:
-    """JSON encoding: list of rows, top row first, e.g. [[2,-1],[0]]."""
-    return [list(row) for row in pattern]
-
-
-def pattern_from_json(data: list[list[int]]) -> GTPattern:
-    pattern = tuple(tuple(int(x) for x in row) for row in data)
-    if not is_valid_pattern(pattern):
-        raise ValueError(f"invalid GT pattern: {data}")
-    return pattern

@@ -133,9 +133,10 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     if basis != row_labels(n, m, d):
         raise ValueError(f"row labels must list the (gamma, p) blocks of {(n, m, d)}, q fastest")
     matrix = _read_rows(lines[2 + size:2 + 2 * size], size, size)
+    del lines, label_lines  # the text, before the matrix is split
     if not matrix.imag.view(np.uint64).any():  # every imaginary part is +0.0
         matrix = np.ascontiguousarray(matrix.real)
-    return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=matrix)
+    return SchurTransform.from_matrix(n, m, d, order, matrix)
 
 
 def _parse_label(line: str, d: int) -> tuple[tuple[int, ...], int, int]:

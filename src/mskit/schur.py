@@ -12,18 +12,23 @@ function of (n, m, d) alone, bratteli.row_layout, and io rejects a
 transform file whose labels differ from it.
 
 The GT basis conserves weight, so W is block diagonal once rows are grouped
-by pattern weight and columns by computational weight (weight_sectors).  Both
-checks of W itself work sector by sector: weight_check returns the exact
-random-phase Frobenius deviation from a table of squared entries per pair of
-weights, and SchurTransform.unitarity_residual is exact inside each sector
-and adds a Cauchy-Schwarz bound for entries between sectors, which is zero
-for a correct W.
+by pattern weight and columns by computational weight (weight_sectors).  A
+SchurTransform is held in that one form: the dense block of each weight
+sector, plus the sparse part of W outside every sector, which is None when
+that part is zero, as it is for a correct cascade.  The last leg of the
+cascade scatters its GEMM output straight into the sector blocks and keeps
+any nonzero it finds outside them, so no dense W is built or kept, and
+the checks still see a cascade that leaks out of its sectors.  Every
+product against W (W.matmul) and every read of its rows (W.take_rows)
+works on the blocks; W.matrix is a dense, read-only copy assembled on each
+access, for io and for tests.  weight_check returns the exact
+random-phase Frobenius deviation from a table of squared entries per pair
+of weights, and SchurTransform.unitarity_residual is exact inside each
+sector and adds a Cauchy-Schwarz bound for the entries between sectors.
 
-A SchurTransform is an immutable value: it owns its matrix, which is
-read-only, and derives its row index, weight sectors (W.sectors) and the
-split of W into weight sector blocks (W.split) once, on first use.  Every
-product against W and every check of it reads that one split.  A transform
-with another matrix is a new value, made with dataclasses.replace.
+A SchurTransform is an immutable value: every array it holds is read-only,
+and the arrays it is given are taken over.  A transform with another matrix is a new value, made with
+SchurTransform.from_matrix, which splits the matrix into its sectors once.
 
 Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
@@ -36,8 +41,10 @@ no D x D complex matrix is held.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -46,16 +53,42 @@ from . import brauer
 from .bratteli import DEFAULT_CAP, check_cap, parse_factor_order, row_labels, row_layout
 from .cg import cg_transform
 from .gelfand import pattern_weights
-from .staircase import Staircase, dim
+from .staircase import Staircase
+
+
+class _SectorIndex(NamedTuple):
+    """Where each weight sector and each row of a transform sits in its data.
+
+    rows[k] and cols[k] are the rows and columns of sector k in increasing
+    order, and block k is data[bounds[k]:bounds[k + 1]] in C order.  The
+    entries of row a there are data[row_start[a]:row_start[a] + row_count[a]],
+    in the columns col_order[row_first[a]:row_first[a] + row_count[a]].
+    """
+
+    rows: tuple[np.ndarray, ...]
+    cols: tuple[np.ndarray, ...]
+    bounds: np.ndarray
+    col_order: np.ndarray
+    row_start: np.ndarray
+    row_count: np.ndarray
+    row_first: np.ndarray
+
+
+# the zero of each sign code: bit 0 is the sign of the real part, bit 1 of the imaginary part
+_SIGNED_ZEROS = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]).view(complex)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
 class SchurTransform:
     """The unitary W with one (staircase, GT index, path index) label per row.
 
-    The transform owns matrix and makes it read-only; a view of another
-    array is copied first, so no other array can change W.  The values
-    derived from W are cached properties, computed once per transform.
+    W is held by weight sector k of W.sectors: rows[k] and cols[k] are its
+    rows and columns in increasing order, and blocks[k] is the dense block
+    W[rows[k], cols[k]], a view of data, which holds the blocks one after
+    another.  off is the sparse part of W outside every sector, None when
+    that part is zero.  build_mixed_schur gives data; from_matrix splits a
+    dense W.  The arrays given are taken over and made read-only, data
+    copied when it is a view of another array, so no caller can change W.
     Transforms compare and hash by identity.
     """
 
@@ -63,23 +96,96 @@ class SchurTransform:
     m: int
     d: int
     factor_order: str
-    matrix: np.ndarray
+    data: np.ndarray = field(repr=False)
     # vertex sequence of the tower path behind each multiplicity label
     path_of: dict[tuple[Staircase, int], tuple[Staircase, ...]] = field(
         default=None, repr=False)
+    off: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
+    # (indptr, keys) of the zeros outside every sector that carry a sign bit,
+    # key = column * 4 + sign code; see from_matrix
+    _zeros: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    sectors: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    cols: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _index: _SectorIndex = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix = self.matrix
-        if matrix.shape != (self.d ** (self.n + self.m),) * 2:
-            raise ValueError(f"a {matrix.shape} matrix does not fit {(self.n, self.m, self.d)}")
-        if matrix.base is not None:
-            matrix = matrix.copy()
-            object.__setattr__(self, "matrix", matrix)
-        matrix.setflags(write=False)
+        sectors, index = _sector_layout(self.n, self.m, self.d, self.factor_order)
+        data, off = self.data, self.off
+        if data.shape != (index.bounds[-1],):
+            raise ValueError(f"data of shape {data.shape} does not fit the weight sectors")
+        if data.base is not None:
+            data = data.copy()
+        data.setflags(write=False)
+        if off is not None and not off.nnz:
+            off = None
+        if off is not None:
+            if off.shape != (self.size,) * 2:
+                raise ValueError(f"off of shape {off.shape} does not fit W")
+            off = scipy.sparse.csr_matrix(off)  # taken over, as data is
+            for a in (off.data, off.indices, off.indptr):
+                a.setflags(write=False)
+        bounds = index.bounds.tolist()
+        blocks = tuple(data[a:b].reshape(len(r), len(c)) for a, b, r, c in zip(
+            bounds[:-1], bounds[1:], index.rows, index.cols))
+        for name, value in (("sectors", sectors), ("rows", index.rows), ("cols", index.cols),
+                            ("data", data), ("off", off), ("blocks", blocks), ("_index", index)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_matrix(cls, n: int, m: int, d: int, factor_order: str, matrix: np.ndarray,
+                    path_of=None) -> SchurTransform:
+        """The transform of a dense W, split into its sectors once.
+
+        The nonzero entries outside every sector become off.  The zeros there
+        that carry a sign bit (-0.0 in either part, as a row phase leaves
+        them) take part in no product but are kept, a small integer each,
+        so that W.matrix and W.take_rows give the matrix back bit for bit.
+        """
+        matrix = np.asarray(matrix)
+        matrix = matrix.astype(np.result_type(matrix, float), copy=False)
+        size = d ** (n + m)
+        if matrix.shape != (size, size):
+            raise ValueError(f"a {matrix.shape} matrix does not fit {(n, m, d)}")
+        (_, row_sector, col_sector), index = _sector_layout(n, m, d, factor_order)
+        data = np.concatenate([matrix[np.ix_(r, c)].ravel()
+                               for r, c in zip(index.rows, index.cols)])
+        # the entries outside the sectors, 256 rows at a time
+        off, counts, keys = [], [], []
+        for a in range(0, size, 256):
+            M = matrix[a:a + 256]
+            outside = row_sector[a:a + 256, None] != col_sector
+            r, c = np.nonzero(outside & (M != 0))
+            off.append((r + a, c, M[r, c]))
+            code = np.signbit(M.real) + np.signbit(M.imag) * np.uint8(2)
+            r, c = np.nonzero(outside & (M == 0) & (code > 0))
+            counts.append(np.bincount(r, minlength=len(M)))
+            keys.append((c * 4 + code[r, c]).astype(np.min_scalar_type(4 * size)))
+        r, c, v = (np.concatenate(a) for a in zip(*off))
+        off = scipy.sparse.csr_matrix((v, (r, c)), shape=matrix.shape)
+        zeros = None
+        if sum(len(k) for k in keys):
+            indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+            zeros = (indptr, np.concatenate(keys))
+            for z in zeros:
+                z.setflags(write=False)
+        return cls(n, m, d, factor_order, data, path_of, off, zeros)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.d ** (self.n + self.m)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """W as a dense, read-only D x D array, assembled on each access."""
+        M = self.take_rows(slice(None))
+        M.setflags(write=False)
+        return M
 
     @property
     def layout(self) -> tuple[tuple[Staircase, int, int, int], ...]:
@@ -91,15 +197,6 @@ class SchurTransform:
         """(staircase, GT index, path index) of every row, in row order."""
         return row_labels(self.n, self.m, self.d)
 
-    @cached_property
-    def sectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return weight_sectors(self)
-
-    @cached_property
-    def split(self) -> _SectorSplit:
-        """matrix split into its weight sector blocks, for products against W."""
-        return _SectorSplit(self)
-
     def row_index(self, gamma: Staircase, q: int, p: int) -> int:
         for g, start, dg, mg in self.layout:
             if g == tuple(gamma) and q in range(dg) and p in range(mg):
@@ -110,26 +207,165 @@ class SchurTransform:
         """(gamma, dim, mult) of each label block, in row order."""
         return [(g, dg, mg) for g, _, dg, mg in self.layout]
 
+    def take_rows(self, index, adjoint: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """W[index], or W[index]^dagger with adjoint=True, read from data.
+
+        index is a slice or an array of row indices.  Each row is one run of
+        data, read with the runs of the other rows through one flat index,
+        whatever the number of sectors they meet.  out, a C-contiguous array
+        of the result's shape, receives the result in place of a new array; its
+        dtype may be wider than W's, as for the complex work buffers of
+        verify_blockdiag.  The result equals W.matrix[index] bit for bit.
+        """
+        rows = np.arange(self.size)[index]
+        if out is None:
+            shape = (self.size, len(rows)) if adjoint else (len(rows), self.size)
+            out = np.zeros(shape, dtype=self.dtype)
+        elif out.flags.c_contiguous:
+            out[...] = 0
+        else:
+            raise ValueError("take_rows needs a C-contiguous out")
+        flat, width = out.reshape(-1), out.shape[1]
+        zeros = _SIGNED_ZEROS if self.dtype.kind == "c" else _SIGNED_ZEROS.real
+
+        def put(j, cols, values):  # W[rows[j], cols] = values
+            j, cols = j.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+            if adjoint:
+                flat[cols * width + j] = values.conj()
+            else:
+                flat[j * width + cols] = values
+
+        # 64 rows at a time: the index arrays stay small, and the writes of
+        # the adjoint stay within a strip of 64 columns of out
+        for a in range(0, len(rows), 64):
+            chunk = rows[a:a + 64]
+            at, cols, j = _row_runs(self._index, chunk)
+            put(j + a, cols, self.data[at])
+            if self._zeros is not None:
+                indptr, keys = self._zeros
+                at, j = _runs(indptr[chunk], indptr[chunk + 1])
+                put(j + a, keys[at] >> 2, zeros[keys[at] & 3])
+        if self.off is not None:
+            E = self.off[rows].tocoo()
+            put(E.row, E.col, E.data)
+        return out
+
+    def matmul(self, X: np.ndarray, adjoint: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """W X, or W^dagger X with adjoint=True, one GEMM per weight sector.
+
+        A product costs the sum of |rows_k| |cols_k| over sectors per column
+        of X, not D^2, and equals the dense product for any W.  A real block
+        meets a complex X through the float view of X, so the GEMM stays
+        real.  out, a C-contiguous array of the product's shape and type,
+        receives the product in place of a new array.
+        """
+        X = np.ascontiguousarray(X)
+        shape = X.shape
+        X = X.reshape(shape[0], -1)
+        if out is None:
+            out = np.empty(shape, dtype=np.result_type(self.dtype, X))
+        flat = out.reshape(out.shape[0], -1)
+        Xv, outv = X, flat
+        if not np.issubdtype(self.dtype, np.complexfloating) and np.iscomplexobj(X):
+            Xv, outv = X.view(float), flat.view(float)
+        for rows, cols, B in zip(self.rows, self.cols, self.blocks):
+            if adjoint:
+                outv[cols] = B.conj().T @ Xv[rows]
+            else:
+                outv[rows] = B @ Xv[cols]
+        if self.off is not None:
+            flat += (self.off.conj().T if adjoint else self.off) @ X
+        return out
+
     def unitarity_residual(self) -> float:
         """Upper bound on max |W W^dagger - I|, exact when W conserves weight.
 
-        For every weight sector, max |B B^dagger - I| over its diagonal block B
-        (rows and columns of that weight) is computed exactly.  The entries E
-        of each row outside its sector's columns add the Cauchy-Schwarz bound
+        For every weight sector, max |B B^dagger - I| over its block B is
+        computed exactly.  The entries E of each row outside its sector's
+        columns (the off part) add the Cauchy-Schwarz bound
         2 max_a ||B_a|| max_a ||E_a|| + max_a ||E_a||^2 (norms of row a of B
-        and of E), which covers every other contribution to W W^dagger.  For a
-        correct W, E is exactly zero and the result is the true max entry.
-        B and E are the blocks and the off-sector part of W.split.
+        and of E), which covers every other contribution to W W^dagger.  For
+        a correct W, E is exactly zero and the result is the true max entry.
         """
-        split = self.split
         exact = b_max = e_max = 0.0
-        for rows, B in zip(split.rows, split.blocks):
+        for rows, B in zip(self.rows, self.blocks):
             if len(rows):
                 exact = max(exact, float(np.abs(B @ B.conj().T - np.eye(len(rows))).max()))
                 b_max = max(b_max, float(np.linalg.norm(B, axis=1).max()))
-        if split.off is not None:
-            e_max = float(np.sqrt(abs(split.off).power(2).sum(axis=1).max()))
+        if self.off is not None:
+            e_max = float(np.sqrt(abs(self.off).power(2).sum(axis=1).max()))
         return exact + 2 * b_max * e_max + e_max ** 2
+
+
+@functools.cache
+def _sector_layout(n: int, m: int, d: int,
+                   factor_order: str) -> tuple[tuple[np.ndarray, ...], _SectorIndex]:
+    """(weight_sectors, _SectorIndex) of one shape; every array is read-only."""
+    sectors = weights, row_sector, col_sector = weight_sectors(n, m, d, factor_order)
+
+    def by_sector(s):
+        order = np.argsort(s, kind="stable")
+        order.setflags(write=False)
+        counts = np.bincount(s, minlength=len(weights))
+        firsts = np.cumsum(counts) - counts
+        return order, counts, firsts, tuple(
+            order[a:a + c] for a, c in zip(firsts.tolist(), counts.tolist()))
+
+    row_order, n_rows, row_firsts, rows = by_sector(row_sector)
+    col_order, n_cols, col_firsts, cols = by_sector(col_sector)
+    bounds = np.concatenate([[0], np.cumsum(n_rows * n_cols)])
+    rank = np.empty(len(row_sector), dtype=np.intp)  # position of each row in its sector
+    rank[row_order] = np.arange(len(row_sector)) - np.repeat(row_firsts, n_rows)
+    row_count = n_cols[row_sector]
+    index = _SectorIndex(rows, cols, bounds, col_order,
+                         bounds[row_sector] + rank * row_count, row_count,
+                         col_firsts[row_sector])
+    for a in index[2:]:
+        a.setflags(write=False)
+    return sectors, index
+
+
+def _runs(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, j): the ranges start[i] .. stop[i] - 1 one after another in at,
+    and the i of each entry in j."""
+    count = stop - start
+    j = np.repeat(np.arange(len(count)), count)
+    return (start - (np.cumsum(count) - count))[j] + np.arange(len(j)), j
+
+
+def _row_runs(index: _SectorIndex, rows: np.ndarray):
+    """(at, cols, j): row rows[j[s]] of W has the entry data[at[s]] in column
+    cols[s], the runs of the rows one after another."""
+    start = index.row_start[rows]
+    at, j = _runs(start, start + index.row_count[rows])
+    return at, index.col_order[at + (index.row_first[rows] - start)[j]], j
+
+
+def _leg_plan(segments, kind: str):
+    """(coupling, segments) for each staircase the segments end at, in the
+    order the staircases are first reached."""
+    grouped: dict[Staircase, list] = {}
+    for segment in segments:
+        grouped.setdefault(segment[0][-1], []).append(segment)
+    name = "defining" if kind == "+" else "dual"
+    return [(cg_transform(name, g), members) for g, members in grouped.items()]
+
+
+def _couple(t, members, d: int) -> np.ndarray:
+    """One leg's GEMM over every segment ending at the coupling's input.
+
+    ((s, n), q) @ (q, (i, r)) -> (s, (n, i), r): the stored coupling entry
+    (row, q * d + i) lands at flat index (q * d + i) * r + row of the
+    operand, and out[a, :, off:off + size] is the transposed block of
+    segment a extended to the target at off.
+    """
+    cg, r = t.matrix, t.matrix.shape[0]
+    cg_q_ir = np.zeros((cg.shape[1] // d, d * r))
+    cg_q_ir.ravel()[cg.indices * r + cg.entry_rows()] = cg.data
+    stack = np.concatenate([block for _, block in members])
+    return (stack @ cg_q_ir).reshape(len(members), -1, r)
 
 
 def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
@@ -142,48 +378,76 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
     if n < 0 or m < 0 or d < 1:
         raise ValueError("need n, m >= 0 and d >= 1")
     check_cap(d, n + m, cap)
-    size = d ** (n + m)
     order = "+" * n + "-" * m if factor_order is None else parse_factor_order(factor_order, n, m)
+    zero = (0,) * d
+    if not order:
+        return SchurTransform(n=n, m=m, d=d, factor_order=order, data=np.ones(1),
+                              path_of={(zero, 0): (zero,)})
 
     # segments: vertex path -> transposed block of W, one column per GT pattern
     # of the endpoint.  Transposed, the blocks of a leg come out of one GEMM in
-    # place, and W is transposed back once at the end instead of once per leg.
-    zero = (0,) * d
+    # place; the blocks of the last leg are never assembled into W.
     segments: list[tuple[tuple[Staircase, ...], np.ndarray]] = [
         ((zero,), np.ones((1, 1)))]
-    for kind in order:
-        grouped: dict[Staircase, list[int]] = {}
-        for idx, (path, _) in enumerate(segments):
-            grouped.setdefault(path[-1], []).append(idx)
+    for kind in order[:-1]:
         new_segments = []
-        for g, idxs in grouped.items():
-            t = cg_transform("defining" if kind == "+" else "dual", g)
-            cg, r = t.matrix, t.matrix.shape[0]
-            # one GEMM over all segments: ((s, n), q) @ (q, (i, r)) -> (s, (n, i), r);
-            # stored entry (row, q * d + i) lands at flat index (q * d + i) * r + row
-            cg_q_ir = np.zeros((dim(g), d * r))
-            cg_q_ir.ravel()[cg.indices * r + cg.entry_rows()] = cg.data
-            stack = np.concatenate([segments[i][1] for i in idxs])
-            out = (stack @ cg_q_ir).reshape(len(idxs), -1, r)
+        for t, members in _leg_plan(segments, kind):
+            out = _couple(t, members, d)
             for target, off, sz in t.output_blocks:
-                for a, i in enumerate(idxs):
-                    path = segments[i][0]
-                    new_segments.append((path + (target,), out[a, :, off:off + sz]))
+                new_segments += [(path + (target,), out[a, :, off:off + sz])
+                                 for a, (path, _) in enumerate(members)]
         segments = new_segments
 
-    # sorted, the segments are the (gamma, p) label blocks, p in path order
-    segments.sort(key=lambda s: (s[0][-1], s[0]))
+    # sorted, the last leg's paths are the (gamma, p) label blocks, p in path order
+    plan = _leg_plan(segments, order[-1])
+    del segments
+    paths = sorted((path + (target,) for t, members in plan
+                    for target, _, _ in t.output_blocks for path, _ in members),
+                   key=lambda path: (path[-1], path))
     slots = [(g, p, start + p * dg) for g, start, dg, mg in row_layout(n, m, d) for p in range(mg)]
-    if [g for g, _, _ in slots] != [path[-1] for path, _ in segments]:
+    if [g for g, _, _ in slots] != [path[-1] for path in paths]:
         raise RuntimeError(f"cascade segments do not follow row_layout{(n, m, d)}")
-    # filled block by block: np.vstack of the transposed views would return
-    # W in Fortran order, which slows every row-wise consumer
-    W = np.empty((size, size))
-    path_of: dict[tuple[Staircase, int], tuple[Staircase, ...]] = {}
-    for (g, p, row), (path, block) in zip(slots, segments):
-        path_of[(g, p)] = path
-        W[row:row + block.shape[1]] = block.T
-    return SchurTransform(n=n, m=m, d=d, factor_order=order, matrix=W, path_of=path_of)
+    path_of = {(g, p): path for (g, p, _), path in zip(slots, paths)}
+    first_row = {path: row for (_, _, row), path in zip(slots, paths)}
+
+    # the last leg's GEMM output goes straight into the sector data: every
+    # (segment a, coupling row c) is one row of W, out[a, cols, c], and the
+    # rows of one source staircase are read with one gather.  The cascade
+    # conserves weight, so what the gather leaves is zero; a nonzero there
+    # is kept as W.off, where the checks see it.
+    index = _sector_layout(n, m, d, order)[1]
+    data = np.empty(index.bounds[-1])
+    size = d ** (n + m)
+    leaks = []
+    for t, members in plan:
+        out = _couple(t, members, d).reshape(-1)
+        s, r = len(members), t.matrix.shape[0]
+        w_row = np.empty((s, r), dtype=np.intp)
+        for target, off, sz in t.output_blocks:
+            for a, (path, _) in enumerate(members):
+                w_row[a, off:off + sz] = first_row[path + (target,)] + np.arange(sz)
+        at, src, j = _row_runs(index, w_row.ravel())
+        a, c = np.divmod(np.arange(s * r), r)
+        src *= r  # column -> flat index of out[a, column, c], in place
+        src += (a * size * r + c)[j]
+        del j
+        inside = out[src]
+        data[at] = inside
+        # entries with a set bit, counted on the integer view, which is faster;
+        # a -0.0 left behind is dropped, since np.flatnonzero skips it
+        if np.count_nonzero(out.view(np.uint64)) != np.count_nonzero(inside.view(np.uint64)):
+            rest = out.copy()
+            rest[src] = 0
+            f = np.flatnonzero(rest)
+            a, k = np.divmod(f, size * r)  # k = column * r + c
+            leaks.append((w_row[a, k % r], k // r, rest[f]))
+        del out, inside  # before the next GEMM, so one output is held at a time
+    off = None
+    if leaks:
+        rows, cols, values = (np.concatenate(x) for x in zip(*leaks))
+        off = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(size, size))
+    return SchurTransform(n=n, m=m, d=d, factor_order=order, data=data, path_of=path_of,
+                          off=off)
 
 
 # -- applying mixed tensor operators ------------------------------------------
@@ -211,7 +475,9 @@ def apply_legs(X: np.ndarray, factors: list[np.ndarray], *,
     Legs are fused into groups of roughly sqrt(row-count) and each group is
     applied slab by slab as contiguous GEMMs, so no transposed copies of the
     big array are ever made.  work is two flat complex arrays of at least
-    X.size entries each; the result is a view of one of them.
+    X.size entries each; the result is a view of one of them.  X may be the
+    first X.size entries of work[0], shaped as X, as W.take_rows writes
+    them; it is then used in place.
     """
     if not factors:
         return X.copy()
@@ -223,8 +489,9 @@ def apply_legs(X: np.ndarray, factors: list[np.ndarray], *,
     # transposed view, the usual X, is then read in cache-sized strips, which
     # takes a third of the time of one whole-array assignment at D = 4096
     Yv = Y.reshape(rows, ncols)
-    for c in range(0, ncols, 32):
-        Yv[:, c:c + 32] = X[:, c:c + 32]
+    if not (X.dtype == Y.dtype and X.flags.c_contiguous and X.ctypes.data == Y.ctypes.data):
+        for c in range(0, ncols, 32):
+            Yv[:, c:c + 32] = X[:, c:c + 32]
     lead = 1
     for g in groups:
         a = g.shape[0]
@@ -302,17 +569,18 @@ def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
 
     Column block sl is W times the legs of U applied to W^dagger[:, sl].  One
     pair of buffers, sized for the largest label block, serves every block:
-    the legs run in both, and the product goes to the one they leave free.
+    the rows of sl are gathered from the sector blocks into the first, the
+    legs run in both, and the product goes to the one they leave free.
     """
     factors = mixed_tensor_factors(np.asarray(U, dtype=complex), W.factor_order)
-    split = W.split
     entries = W.size * max(dg * mg for _, _, dg, mg in W.layout)
     work = (np.empty(entries, dtype=complex), np.empty(entries, dtype=complex))
 
     def column_block(sl):
-        Y = apply_legs(W.matrix[sl].conj().T, factors, work=work)
+        X = work[0][:W.size * (sl.stop - sl.start)].reshape(W.size, -1)
+        Y = apply_legs(W.take_rows(sl, adjoint=True, out=X), factors, work=work)
         out = work[1] if np.may_share_memory(Y, work[0]) else work[0]
-        return split.matmul(Y, out=out[:Y.size].reshape(Y.shape))
+        return W.matmul(Y, out=out[:Y.size].reshape(Y.shape))
 
     return _structured_residuals(W, column_block, "irrep")
 
@@ -329,12 +597,12 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
     # a cap that admits W's own shape, d = 1 included
     A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, 2 ** (W.n + W.m), W.size),
                          order=W.factor_order).tocsr()
-    split = W.split
     return _structured_residuals(
-        W, lambda sl: split.matmul(A @ W.matrix[sl].conj().T), "mult")
+        W, lambda sl: W.matmul(A @ W.take_rows(sl, adjoint=True)), "mult")
 
 
-def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def weight_sectors(n: int, m: int, d: int,
+                   factor_order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the rows of W by GT label weight and its columns by computational weight.
 
     Returns (weights, row_sector, col_sector): weights is the (K, d) array of
@@ -344,76 +612,20 @@ def weight_sectors(W: SchurTransform) -> tuple[np.ndarray, np.ndarray, np.ndarra
     '-' leg.  A correct W is zero wherever row_sector[a] != col_sector[c].
     The arrays are read-only; W.sectors keeps them on the transform.
     """
+    size = d ** (n + m)
     row_w = np.concatenate([np.tile(pattern_weights(g), (mg, 1))
-                            for g, _, _, mg in W.layout])
-    col_w = np.zeros((W.size, W.d), dtype=np.int64)
-    cols = np.arange(W.size)
-    reps = W.size
-    for kind in W.factor_order:
-        reps //= W.d
-        col_w[cols, (cols // reps) % W.d] += 1 if kind == "+" else -1
+                            for g, _, _, mg in row_layout(n, m, d)])
+    col_w = np.zeros((size, d), dtype=np.int64)
+    cols = np.arange(size)
+    reps = size
+    for kind in factor_order:
+        reps //= d
+        col_w[cols, (cols // reps) % d] += 1 if kind == "+" else -1
     weights, sector = np.unique(np.vstack([row_w, col_w]), axis=0, return_inverse=True)
     sector = sector.reshape(-1)
     for a in (weights, sector):
         a.setflags(write=False)
-    return weights, sector[:W.size], sector[W.size:]
-
-
-class _SectorSplit:
-    """W.matrix split into its weight sector blocks, for many products against W.
-
-    Sector k holds the dense block W[rows_k, cols_k].  Entries of W outside
-    their sector, zero for a built transform, are kept as one sparse matrix,
-    so every product equals the dense product for any W.  The split and the
-    scan for those entries are made once, here; a product then costs the sum
-    of |rows_k| |cols_k| over sectors per column of X, not D^2.  W.split
-    keeps the one split of each transform.
-    """
-
-    def __init__(self, W: SchurTransform):
-        self.matrix = Wm = W.matrix
-        weights, row_sector, col_sector = W.sectors
-        self.rows, self.cols = (
-            np.split(np.argsort(s, kind="stable"),
-                     np.cumsum(np.bincount(s, minlength=len(weights)))[:-1])
-            for s in (row_sector, col_sector))
-        self.blocks = [Wm[np.ix_(r, c)] for r, c in zip(self.rows, self.cols)]
-        self.off = None
-        # counting is cheaper than locating: scan for off-sector entries only
-        # when there are some
-        if np.count_nonzero(Wm) > sum(np.count_nonzero(B) for B in self.blocks):
-            r, c = np.nonzero(Wm)
-            off = row_sector[r] != col_sector[c]
-            r, c = r[off], c[off]
-            self.off = scipy.sparse.csr_matrix((Wm[r, c], (r, c)), shape=Wm.shape)
-
-    def matmul(self, X: np.ndarray, adjoint: bool = False,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """W X, or W^dagger X with adjoint=True.
-
-        A real block meets a complex X through the float view of X, so the
-        GEMM stays real.  out, a C-contiguous array of the product's shape and
-        type, receives the product in place of a new array.
-        """
-        X = np.ascontiguousarray(X)
-        shape = X.shape
-        X = X.reshape(shape[0], -1)
-        Wm = self.matrix
-        if out is None:
-            out = np.empty((Wm.shape[1] if adjoint else Wm.shape[0],) + shape[1:],
-                           dtype=np.result_type(Wm, X))
-        flat = out.reshape(out.shape[0], -1)
-        Xv, outv = X, flat
-        if not np.iscomplexobj(Wm) and np.iscomplexobj(X):
-            Xv, outv = X.view(float), flat.view(float)
-        for rows, cols, B in zip(self.rows, self.cols, self.blocks):
-            if adjoint:
-                outv[cols] = B.conj().T @ Xv[rows]
-            else:
-                outv[rows] = B @ Xv[cols]
-        if self.off is not None:
-            flat += (self.off.conj().T if adjoint else self.off) @ X
-        return out
+    return weights, sector[:size], sector[size:]
 
 
 def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
@@ -428,11 +640,11 @@ def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
     depends on the row and column only through their weights, so the squared
     entries are summed once per (row weight, column weight) pair and each
     trial works on that K x K table.  Entries inside their sector deviate by
-    exactly 0, so only the off-sector part of W.split is summed.
+    exactly 0, so only the off-sector part W.off is summed.
     """
     from .rand import rng_from_seed
 
-    off = W.split.off
+    off = W.off
     if off is None:
         return 0.0
     rng = rng_from_seed(seed)
@@ -485,7 +697,7 @@ def ptpqp_amplitude(n: int, m: int, d: int,
     if (tuple(g), q) != (tuple(g_to), q_to):
         return 0.0
     _, start, dg, mg = next(b for b in W.layout if b[0] == tuple(g))
-    R = W.matrix[start + q:start + dg * mg:dg]  # the rows (g, q, p), p = 0 .. mg - 1
+    R = W.take_rows(slice(start + q, start + dg * mg, dg))  # the rows (g, q, p), p < mg
     P_g = R @ (H @ R.T)
     evals, v = np.linalg.eigh((P_g + P_g.conj().T) / 2)
     amp = (v[p_to] * np.exp(-1j * t * evals)) @ v[p_from].conj()

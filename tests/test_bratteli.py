@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import pytest
 
 from mskit.bratteli import (CapExceeded, build, build_tower, census,
                             census_to_json, count_paths_reordered, decode_path,
-                            encode_path, hook_length_count, multiplicity_bound,
-                            path_counts, paths_to, standard_types, to_dot)
-from mskit.staircase import dim
+                            encode_path, path_counts, paths_to, standard_types,
+                            to_dot)
+from mskit.staircase import dim, to_pair
 
 from refdata import CENSUS_212, CENSUS_223, CENSUS_403
 
@@ -139,6 +140,34 @@ def test_path_decode_errors():
     assert decode_path(1, 1, 3, bad).shape == (0, 0, 0)
     with pytest.raises(ValueError):
         decode_path(1, 1, 3, "1111")  # step index 4 out of range for d=3
+
+
+# -- oracles: the hook length formula and the multiplicity bound --------------
+
+def hook_length_count(lam: tuple[int, ...]) -> int:
+    """Number of standard Young tableaux of partition shape lam."""
+    lam = tuple(x for x in lam if x)
+    if any(x <= 0 for x in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"not a partition: {lam}")
+    n = sum(lam)
+    if n == 0:
+        return 1
+    cols = [sum(1 for r in lam if r > c) for c in range(lam[0])]
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    return math.factorial(n) // hooks
+
+
+def multiplicity_bound(gamma, n: int, m: int) -> int:
+    """Combinatorial upper bound on the multiplicity of gamma = [alpha, beta]."""
+    alpha, beta = to_pair(gamma)
+    k = n - sum(alpha)
+    if k != m - sum(beta) or k < 0:
+        raise ValueError(f"{gamma} cannot occur at (n, m) = ({n}, {m})")
+    return (math.comb(n, k) * math.comb(m, k) * math.factorial(k)
+            * hook_length_count(alpha) * hook_length_count(beta))
 
 
 def test_hook_lengths():

@@ -10,8 +10,6 @@ with mskit.channels beyond weyl_operator and choi_of_map, and with the
 weight-sector products of mskit.schur only the block extraction.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from mskit.channels import (ChoiMatrix, _teleport_branches, choi_of_map,
                             random_cptp_choi, random_equivariant_choi,
                             teleport_apply, twirl, weyl_operator)
 from mskit.rand import haar_unitary, random_density, rng_from_seed
-from mskit.schur import _structured_residuals, block_fits, build_mixed_schur
+from mskit.schur import SchurTransform, _structured_residuals, block_fits, build_mixed_schur
 
 from test_schur import block_phased
 from test_schur_oracle import off_weight_copy
@@ -209,7 +207,7 @@ SECTOR_SHAPES = [(1, 1, 2, "-+"), (2, 1, 2, "-++"), (2, 2, 3, "+--+"),
 
 def phased(W, phases):
     """W with row a multiplied by phases[a]: complex, same weight sectors."""
-    return dataclasses.replace(W, matrix=phases[:, None] * W.matrix)
+    return SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, phases[:, None] * W.matrix)
 
 
 @pytest.mark.parametrize("shape", SECTOR_SHAPES, ids=lambda s: "-".join(map(str, s)))
@@ -225,10 +223,10 @@ def test_sector_matmul_matches_dense(shape):
     X_complex = X_real + 1j * rng.standard_normal((W.size, 7))
     for name, V in variants.items():
         for X in (X_real, X_complex, X_complex[:, 0]):
-            got, want = V.split.matmul(X), V.matrix @ X
+            got, want = V.matmul(X), V.matrix @ X
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() < 1e-13, name
-            got = V.split.matmul(X, adjoint=True)
+            got = V.matmul(X, adjoint=True)
             assert np.abs(got - V.matrix.conj().T @ X).max() < 1e-13, name
 
 
@@ -238,12 +236,11 @@ def test_weight_sectors_computed_once_and_read_only():
     assert W.sectors is first
     for a in first:
         assert not a.flags.writeable
-    # a copy with other entries keeps the labels, so its sectors are equal,
-    # but it computes them for itself
+    # the sectors are a function of the shape, computed once per shape: a
+    # copy with other entries has the same labels and shares them
     V = off_weight_copy(W, 0)
-    assert "sectors" not in vars(V)
-    assert V.sectors is not first
-    assert all(np.array_equal(a, b) for a, b in zip(V.sectors, first))
+    assert V.sectors is first
+    assert build_mixed_schur(2, 1, 3, "+-+").sectors is not first
 
 
 # -- the generator test of is_equivariant against Haar commutators ----------------

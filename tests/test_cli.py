@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +8,7 @@ import pytest
 from mskit import io as mio
 from mskit.cli import main
 from mskit.rand import random_density, rng_from_seed
+from mskit.schur import SchurTransform
 
 from test_schur import splits_made  # noqa: F401  (fixture)
 
@@ -118,6 +118,20 @@ def test_verify_needs_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("shape", [["3", "3", "3"], ["3", "3", "3", "--order=+-+-+-"],
+                                   ["--order=++-"], ["2"]])
+def test_verify_file_rejects_a_shape_or_order(tmp_path, capsys, shape):
+    # the file fixes n, m, d and the order; a usage error, before the file is opened
+    f = tmp_path / "w"
+    run(capsys, "schur", "2", "1", "2", "--out", str(f))
+    for path in (str(f), str(tmp_path / "missing")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *shape, "--file", path])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not both" in captured.err
 
 
 def test_channel_example_schur_values(capsys):
@@ -327,14 +341,15 @@ def test_verify_file_with_complex_phases(tmp_path, capsys):
     theta = {}
     phases = np.array([np.exp(1j * theta.setdefault((g, p), rng.uniform(-np.pi, np.pi)))
                        for g, _, p in W.basis])
-    W = dataclasses.replace(W, matrix=phases[:, None] * W.matrix)
+    W = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, phases[:, None] * W.matrix)
     f.write_text(mio.dumps(mio.write_schur, W))
     code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "5")
     assert code == 0, out
     assert "FAIL" not in out
     bad = W.matrix.copy()
     bad[W.row_index((1, 0), 1, 0)] *= np.exp(0.7j)
-    f.write_text(mio.dumps(mio.write_schur, dataclasses.replace(W, matrix=bad)))
+    bad = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, bad)
+    f.write_text(mio.dumps(mio.write_schur, bad))
     code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "5")
     assert code == 1
     lines = dict(line.split(": ", 1) for line in out.splitlines())

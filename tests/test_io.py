@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import re
 
@@ -11,7 +10,7 @@ from mskit.channels import example_channel
 from mskit.io import (_read_rows, _write_rows, dumps, read_choi, read_matrix,
                       read_schur, write_choi, write_matrix, write_schur)
 from mskit.rand import random_density, rng_from_seed
-from mskit.schur import build_mixed_schur
+from mskit.schur import SchurTransform, build_mixed_schur
 
 
 def test_schur_round_trip():
@@ -187,7 +186,7 @@ def test_read_schur_returns_a_contiguous_real_matrix():
     assert not R.matrix.flags.writeable
     assert np.array_equal(R.matrix, W.matrix)
     # a complex file is parsed in place into the matrix the transform owns
-    phased = dataclasses.replace(W, matrix=W.matrix * 1j)
+    phased = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, W.matrix * 1j)
     C = read_schur(io.StringIO(dumps(write_schur, phased)))
     assert C.matrix.dtype == complex and C.matrix.base is None
     assert np.array_equal(C.matrix, phased.matrix)
@@ -197,7 +196,8 @@ def test_read_schur_keeps_negative_zero_imaginary_parts():
     W = build_mixed_schur(2, 1, 2)
     M = np.empty(W.matrix.shape, dtype=complex)
     M.real, M.imag = W.matrix, -0.0
-    R = read_schur(io.StringIO(dumps(write_schur, dataclasses.replace(W, matrix=M))))
+    V = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, M)
+    R = read_schur(io.StringIO(dumps(write_schur, V)))
     assert R.matrix.dtype == complex
     assert np.array_equal(R.matrix.view(np.uint64), M.view(np.uint64))
 
@@ -344,8 +344,9 @@ def test_rows_match_the_repr_writer_and_read_back_bit_equal(M):
 ])
 def test_schur_rows_match_the_repr_writer(n, m, d, order):
     W = build_mixed_schur(n, m, d, order)
+    M = W.matrix  # assembled once
     for start in range(0, W.size, 512):  # 512 rows at a time bounds the text held
-        block = W.matrix[start:start + 512]
+        block = M[start:start + 512]
         rows = written_rows(block)
         assert rows == repr_rows(block)
         R = _read_rows(rows.splitlines(), *block.shape)

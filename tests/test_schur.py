@@ -9,7 +9,7 @@ from mskit import bratteli, brauer, schur
 from mskit.bratteli import CapExceeded
 from mskit.channels import choi_to_schur, random_cptp_choi, twirl
 from mskit.rand import haar_unitary, rng_from_seed
-from mskit.schur import (build_mixed_schur, mixed_tensor_factors,
+from mskit.schur import (SchurTransform, build_mixed_schur, mixed_tensor_factors,
                          parse_factor_order, ptpqp_amplitude, verify_blockdiag,
                          verify_brauer, weight_check)
 
@@ -281,7 +281,7 @@ def block_phased(W, seed, per="gamma, p"):
     key = (lambda g, q, p: (g, p)) if per == "gamma, p" else (lambda g, q, p: (g, q))
     phases = np.array([np.exp(1j * theta.setdefault(key(*lab), rng.uniform(-np.pi, np.pi)))
                        for lab in W.basis])
-    return dataclasses.replace(W, matrix=phases[:, None] * W.matrix)
+    return SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, phases[:, None] * W.matrix)
 
 
 @pytest.mark.parametrize("per", ["gamma, p", "gamma, q"])
@@ -303,7 +303,7 @@ def test_phase_varying_inside_a_block_fails_verification():
     V = block_phased(build_mixed_schur(2, 1, 2), 33)
     bad = V.matrix.copy()
     bad[V.row_index((1, 0), 1, 0)] *= np.exp(0.7j)  # only q = 1 of ((1,0), p=0)
-    B = dataclasses.replace(V, matrix=bad)
+    B = SchurTransform.from_matrix(V.n, V.m, V.d, V.factor_order, bad)
     assert B.unitarity_residual() < 1e-14  # still unitary
     U = haar_unitary(2, rng_from_seed(34))
     assert verify_blockdiag(B, U).structure_residual > 1e-3
@@ -320,22 +320,25 @@ def test_built_matrix_is_read_only():
 def test_reassigned_or_replaced_matrix_gets_its_own_split():
     W = build_mixed_schur(2, 1, 2)
     X = rng_from_seed(41).standard_normal((W.size, 3))
-    split = W.split
-    assert W.split is split
+    blocks = W.blocks
+    assert W.blocks is blocks and all(not B.flags.writeable for B in blocks)
     with pytest.raises(dataclasses.FrozenInstanceError):
         W.matrix = -W.matrix
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        W.blocks = blocks
     flipped = -W.matrix
-    V = dataclasses.replace(W, matrix=flipped)
-    assert V.matrix is flipped and not flipped.flags.writeable  # owned, not copied
-    assert V.split is not split and V.split is V.split
-    assert np.allclose(V.split.matmul(X), flipped @ X, atol=1e-15)
-    assert W.split is split
-    assert np.allclose(W.split.matmul(X), W.matrix @ X, atol=1e-15)
+    V = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, flipped)
+    assert V.blocks is not blocks and all(not B.flags.writeable for B in V.blocks)
+    assert not any(np.shares_memory(B, flipped) for B in V.blocks)  # split, not viewed
+    assert V.matrix is not V.matrix and np.array_equal(V.matrix, flipped)
+    assert np.allclose(V.matmul(X), flipped @ X, atol=1e-15)
+    assert W.blocks is blocks
+    assert np.allclose(W.matmul(X), W.matrix @ X, atol=1e-15)
 
 
 def test_transforms_compare_and_hash_by_identity():
     W = build_mixed_schur(1, 1, 2)
-    V = dataclasses.replace(W, matrix=W.matrix.copy())
+    V = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, W.matrix.copy())
     assert (W == V) is False and (W != V) is True and (W == W) is True
     assert hash(W) == hash(W) and len({W, V, W}) == 2
 
@@ -344,27 +347,30 @@ def test_editing_the_array_behind_a_view_leaves_the_transform():
     W = build_mixed_schur(2, 1, 2)
     X = rng_from_seed(46).standard_normal((W.size, 3))
     base = W.matrix.copy()
-    V = dataclasses.replace(W, matrix=base[:])
-    split = V.split
+    V = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, base[:])
+    blocks = V.blocks
     base *= 2.0
     assert base.flags.writeable and not V.matrix.flags.writeable
     assert np.array_equal(V.matrix, W.matrix)
-    assert V.split is split
-    assert np.allclose(split.matmul(X), W.matrix @ X, atol=1e-15)
+    assert V.blocks is blocks
+    assert np.allclose(V.matmul(X), W.matrix @ X, atol=1e-15)
     assert V.unitarity_residual() < 1e-14
 
 
 @pytest.fixture
 def splits_made(monkeypatch):
-    """The transforms each new _SectorSplit was made for, in order."""
+    """The transforms whose sector blocks were made, in order.
+
+    A transform's blocks are made, or split from a dense matrix, when the
+    transform is; every product and row read after that uses them."""
     made = []
+    post_init = schur.SchurTransform.__post_init__
 
-    class Counting(schur._SectorSplit):
-        def __init__(self, W):
-            made.append(W)
-            super().__init__(W)
+    def counting(W, *args):
+        made.append(W)
+        post_init(W, *args)
 
-    monkeypatch.setattr(schur, "_SectorSplit", Counting)
+    monkeypatch.setattr(schur.SchurTransform, "__post_init__", counting)
     return made
 
 
@@ -379,7 +385,8 @@ def test_one_sector_split_per_transform(splits_made):
         rep = verify_brauer(W, sigma)
         assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
     assert weight_check(W) == 0.0
-    W.split.matmul(np.eye(W.size), adjoint=True)
+    W.matmul(np.eye(W.size), adjoint=True)
+    W.take_rows(slice(None))
     assert len(splits_made) == 1 and splits_made[0] is W
 
 
@@ -399,10 +406,12 @@ def test_labels_come_from_the_row_layout():
         assert W.basis == row_labels(2, 2, 2)
         assert [W.row_index(*lab) for lab in W.basis] == list(range(W.size))
     with pytest.raises(TypeError):
-        schur.SchurTransform(n=1, m=1, d=2, factor_order="+-", matrix=np.eye(4),
+        schur.SchurTransform(n=1, m=1, d=2, factor_order="+-", data=np.ones(4),
                              basis=W.basis)
     with pytest.raises(ValueError, match="does not fit"):
-        schur.SchurTransform(n=1, m=1, d=2, factor_order="+-", matrix=np.eye(3))
+        schur.SchurTransform.from_matrix(1, 1, 2, "+-", np.eye(3))
+    with pytest.raises(ValueError, match="does not fit"):
+        schur.SchurTransform(n=1, m=1, d=2, factor_order="+-", data=np.ones(5))
 
 
 def test_build_rejects_segments_off_the_layout(monkeypatch):

@@ -7,8 +7,6 @@ from the dense M = W A W^dagger.  They share no code with mskit.schur beyond
 the CG transforms and the GT pattern weights.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from mskit.brauer import from_permutation
 from mskit.cg import cg_transform
 from mskit.gelfand import enumerate_patterns, pattern_weight
 from mskit.rand import haar_unitary, rng_from_seed
-from mskit.schur import (build_mixed_schur, verify_blockdiag, verify_brauer,
+from mskit.schur import (SchurTransform, build_mixed_schur, verify_blockdiag, verify_brauer,
                          weight_check)
 from mskit.staircase import dim
 
@@ -97,7 +95,7 @@ def off_weight_copy(W, seed):
     k = rng_from_seed(seed).integers(len(a_idx))
     M = W.matrix.copy()
     M[a_idx[k], c_idx[k]] += 1e-6
-    return dataclasses.replace(W, matrix=M)
+    return SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, M)
 
 
 @pytest.fixture(scope="module", params=SHAPES, ids=lambda s: "-".join(map(str, s)))
@@ -127,10 +125,11 @@ def dense_unitarity_bound(W):
     each weight sector's diagonal block B plus 2 max ||B_a|| max ||E_a|| +
     max ||E_a||^2, E_a the entries of row a outside its sector's columns."""
     rows, cols = dense_weights(W)
+    M = W.matrix  # assembled once
     exact = b_max = e_max = 0.0
     for w in np.unique(rows, axis=0):
         r, c = (rows == w).all(axis=1), (cols == w).all(axis=1)
-        B, E = W.matrix[np.ix_(r, c)], W.matrix[np.ix_(r, ~c)]
+        B, E = M[np.ix_(r, c)], M[np.ix_(r, ~c)]
         exact = max(exact, np.abs(B @ B.conj().T - np.eye(len(B))).max())
         b_max = max(b_max, np.linalg.norm(B, axis=1).max())
         e_max = max(e_max, np.linalg.norm(E, axis=1).max())
@@ -151,7 +150,7 @@ def test_checks_with_many_off_sector_entries_match_dense(built, phased):
     pick = np.union1d(pick, np.flatnonzero(a_idx == row))
     M = W.matrix.copy()
     M[a_idx[pick], c_idx[pick]] += 1e-4 * rng.standard_normal(len(pick))
-    Wp = dataclasses.replace(W, matrix=M)
+    Wp = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, M)
     got, want = Wp.unitarity_residual(), dense_unitarity_bound(Wp)
     assert want > 1e-5 and abs(got - want) <= 1e-12 * want
     got, want = weight_check(Wp, seed=3), dense_weight_check(Wp, seed=3)

@@ -1,0 +1,172 @@
+"""The weight-sector form of SchurTransform against its dense matrix.
+
+A transform holds only its sector blocks and the sparse part outside them;
+W.matrix assembles the dense W on each access.  These tests check every row
+read and product of the sector form against that dense oracle, for built,
+phased and off-sector-perturbed transforms, and that no verification,
+channel or ptpqp path ever assembles it.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from mskit import brauer, schur
+from mskit import io as mio
+from mskit.channels import choi_to_schur, random_cptp_choi, twirl
+from mskit.cli import main
+from mskit.rand import haar_unitary, rng_from_seed
+from mskit.schur import (SchurTransform, build_mixed_schur, ptpqp_amplitude,
+                         verify_blockdiag, verify_brauer, weight_check)
+
+from test_schur import GRID, block_phased
+from test_schur_oracle import off_weight_copy
+
+
+def bits(a):
+    """The bit patterns of a float or complex array, so -0.0 != 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def variants(W, seed):
+    V = block_phased(W, seed)
+    return {"built": W, "off-sector": off_weight_copy(W, seed + 1),
+            "phased": V, "phased, off-sector": off_weight_copy(V, seed + 2)}
+
+
+def row_sets(W, rng):
+    """Label blocks, strided (gamma, q, .) rows, every row, a shuffled subset."""
+    sets = [slice(start, start + dg * mg) for _, start, dg, mg in W.layout]
+    sets += [slice(start + dg - 1, start + dg * mg, dg) for _, start, dg, mg in W.layout]
+    return sets + [slice(None), rng.permutation(W.size)[:max(1, W.size // 3)]]
+
+
+def check_row_reads(name, V, rng, M=None):
+    """Row reads of V against M, V.matrix unless given."""
+    M = V.matrix if M is None else M
+    for index in row_sets(V, rng):
+        got = V.take_rows(index)
+        assert got.dtype == M.dtype, name
+        assert np.array_equal(bits(got), bits(M[index])), (name, index)
+        # conj turns the +0.0 imaginary part of a zero entry into -0.0,
+        # so the adjoint is compared by value, exactly
+        want = M[index].conj().T
+        assert np.array_equal(V.take_rows(index, adjoint=True), want), name
+        buf = np.full(want.shape, np.nan, dtype=complex)  # stale entries are cleared
+        assert V.take_rows(index, adjoint=True, out=buf) is buf
+        assert np.array_equal(buf, want), name
+
+
+@pytest.mark.parametrize("n,m,d", GRID)
+def test_sector_form_matches_the_dense_oracle(n, m, d):
+    W = build_mixed_schur(n, m, d)
+    rng = rng_from_seed(70 + W.size)
+    X = rng.standard_normal((W.size, 4)) + 1j * rng.standard_normal((W.size, 4))
+    for name, V in variants(W, 71).items():
+        assert (V.off is None) == (name in ("built", "phased")), name
+        check_row_reads(name, V, rng)
+        M = V.matrix
+        for Y in (X.real, X, X[:, 0]):
+            assert np.abs(V.matmul(Y) - M @ Y).max() <= 1e-15, name
+            assert np.abs(V.matmul(Y, adjoint=True) - M.conj().T @ Y).max() <= 1e-15, name
+    # a split matrix reads back bit for bit, the signed zeros that a row
+    # phase or a sign leaves outside the sectors included
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, W.size))
+    for M in (-W.matrix, phases[:, None] * W.matrix):
+        V = SchurTransform.from_matrix(n, m, d, W.factor_order, M)
+        assert np.array_equal(bits(V.matrix), bits(M))
+        check_row_reads("split", V, rng, M)
+
+
+def test_row_reads_span_several_chunks():
+    # D = 243: take_rows reads 64 rows at a time
+    W = build_mixed_schur(3, 2, 3)
+    for name, V in variants(W, 74).items():
+        check_row_reads(name, V, rng_from_seed(75))
+
+
+def test_built_transform_holds_no_dense_array():
+    W = build_mixed_schur(5, 5, 2)
+    verify_blockdiag(W, haar_unitary(2, rng_from_seed(72)))
+    assert W.off is None
+    inside = sum(len(r) * len(c) for r, c in zip(W.rows, W.cols))
+    assert sum(B.size for B in W.blocks) == inside < W.size ** 2 // 4
+    held = [a for a in vars(W).values() if isinstance(a, np.ndarray)]
+    held += [a for v in vars(W).values() if isinstance(v, tuple)
+             for a in v if isinstance(a, np.ndarray)]
+    assert held and max(a.size for a in held) < W.size ** 2 // 4
+    assert not any(a.flags.writeable for a in held)
+
+
+@pytest.fixture
+def dense_reads(monkeypatch):
+    """The transforms whose dense W.matrix was assembled, in order."""
+    reads = []
+    dense = schur.SchurTransform.matrix
+
+    def counting(W):
+        reads.append(W)
+        return dense.fget(W)
+
+    monkeypatch.setattr(schur.SchurTransform, "matrix", property(counting))
+    return reads
+
+
+def test_verification_never_assembles_the_dense_matrix(dense_reads, tmp_path, capsys):
+    W = build_mixed_schur(2, 2, 2)
+    W.matrix
+    assert dense_reads == [W]  # the fixture sees every read
+    f = tmp_path / "w"
+    f.write_text(mio.dumps(mio.write_schur, W))
+    dense_reads.clear()
+
+    rng = rng_from_seed(73)
+    assert W.unitarity_residual() < 1e-14
+    rep = verify_blockdiag(W, haar_unitary(2, rng))
+    assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    for sigma in brauer.all_diagrams(2, 2):
+        rep = verify_brauer(W, sigma)
+        assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    assert weight_check(W) == 0.0
+
+    Wc = build_mixed_schur(2, 1, 2, "-++")
+    J = twirl(random_cptp_choi(1, 2, 2, rng), Wc)
+    rep = choi_to_schur(J, Wc)
+    assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    cc = brauer.from_permutation((1, 0, 2), 2, 1)
+    p = ptpqp_amplitude(2, 1, 2, [(0.5, cc), (0.5, brauer.dagger(cc))], 0.7,
+                        ((1, 0), 0, 0), ((1, 0), 0, 1))
+    assert 0.0 <= p <= 1.0 + 1e-12
+
+    assert main(["verify", "2", "2", "2", "--trials", "2"]) == 0
+    assert main(["verify", "--file", str(f), "--trials", "2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert dense_reads == []
+
+
+def test_a_cascade_that_leaks_out_of_its_sectors_fails_verify(monkeypatch, capsys):
+    # the last leg's GEMM output gains 1e-6 everywhere, outside the sectors too
+    W = build_mixed_schur(2, 2, 2)
+    couple = schur._couple
+
+    def leaky(t, members, d):
+        out = couple(t, members, d)
+        return out + 1e-6 if out.shape[1] == W.size else out
+
+    monkeypatch.setattr(schur, "_couple", leaky)
+    V = build_mixed_schur(2, 2, 2)
+    assert V.off is not None
+    assert np.abs(V.matrix - W.matrix - 1e-6).max() < 1e-15
+    assert weight_check(V) > 1e-6
+    assert main(["verify", "2", "2", "2", "--trials", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert next(line for line in lines if line.startswith("diagonal weights")).endswith("FAIL")
+
+
+def test_replace_keeps_the_sector_data_it_is_given(dense_reads):
+    W = build_mixed_schur(2, 1, 2)
+    V = dataclasses.replace(W, data=-W.data)
+    P = dataclasses.replace(W, path_of={})
+    assert dense_reads == []  # neither assembled W
+    assert np.array_equal(V.matrix, -W.matrix) and P.data is W.data
