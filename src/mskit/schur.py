@@ -34,9 +34,12 @@ Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
 Q(U) (x) Id over (GT, path) indices; conjugating a walled-Brauer-diagram
 operator must produce Id (x) P(diagram) blocks.  The verify_* functions
-measure the largest entry that departs from this structure, at every size:
-M = W A W^dagger is formed one label column block M[:, block] at a time, so
-no D x D complex matrix is held.
+measure the largest entry that departs from this structure, at every size,
+and no D x D complex matrix is held.  verify_blockdiag forms M = W A W^dagger
+one label column block M[:, block] at a time, since a Haar U does not
+conserve weight.  A diagram operator does, so verify_brauer forms only the
+block of M inside each weight sector, B_k psi_k B_k^dagger, and the rows
+and columns of M that the off-sector part of W touches.
 """
 
 from __future__ import annotations
@@ -72,6 +75,38 @@ class _SectorIndex(NamedTuple):
     row_start: np.ndarray
     row_count: np.ndarray
     row_first: np.ndarray
+
+
+class _DiagramIndex(NamedTuple):
+    """Where verify_brauer holds the sector blocks M_k of W psi W^dagger.
+
+    The r_k x r_k block of sector k starts at start[k] of one flat array,
+    entry (i, i') at start[k] + i r_k + i'.  The sectors are taken in order
+    of size: groups holds (r, lo, hi, at) for each size r, the blocks of
+    that size one after another in flat[lo:hi], and at the positions of
+    their entries in W.data.  The rows of sector k in increasing order are
+    rows[first[k]:first[k] + r_k]; rank[a] is the place of row a among
+    them and col_rank[c] that of column c among its sector's columns.
+    off_at are the flat entries whose two rows lie in different label
+    blocks, fit_at those whose rows share one, and fit_to the slot of each
+    of those in the concatenated X_gamma, whose blocks x_blocks lists as
+    (gamma, offset, mult).  fit_to is the last slot, of scale 0, for two
+    rows with different GT indices; scale holds 1 / dim(gamma) elsewhere.
+    """
+
+    groups: tuple[tuple[int, int, int, np.ndarray], ...]
+    size: np.ndarray
+    start: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+    rank: np.ndarray
+    col_rank: np.ndarray
+    label_block: np.ndarray
+    off_at: np.ndarray
+    fit_at: np.ndarray
+    fit_to: np.ndarray
+    scale: np.ndarray
+    x_blocks: tuple[tuple[Staircase, int, int], ...]
 
 
 # the zero of each sign code: bit 0 is the sign of the real part, bit 1 of the imaginary part
@@ -206,6 +241,53 @@ class SchurTransform:
     def census(self) -> list[tuple[Staircase, int, int]]:
         """(gamma, dim, mult) of each label block, in row order."""
         return [(g, dg, mg) for g, _, dg, mg in self.layout]
+
+    @cached_property
+    def _diagram_index(self) -> _DiagramIndex:
+        """The tables of _DiagramIndex for this transform's shape, read-only."""
+        index, row_sector = self._index, self.sectors[1]
+        size = np.array([len(r) for r in index.rows])
+        order = np.argsort(size, kind="stable")
+        start, first = np.empty_like(size), np.empty_like(size)
+        start[order] = np.cumsum(size[order] ** 2) - size[order] ** 2
+        first[order] = np.cumsum(size[order]) - size[order]
+        rows = np.concatenate([index.rows[k] for k in order])
+        rank, col_rank = np.empty(self.size, dtype=np.intp), np.empty(self.size, dtype=np.intp)
+        rank[rows] = np.arange(self.size) - np.repeat(first[order], size[order])
+        for c in index.cols:
+            col_rank[c] = np.arange(len(c))
+        groups = []
+        for r in np.unique(size[size > 0]).tolist():
+            ks = order[size[order] == r]
+            lo = int(start[ks[0]])
+            at = (index.bounds[ks][:, None] + np.arange(r * r)).ravel()
+            groups.append((r, lo, lo + len(ks) * r * r, at))
+
+        # the rows (a, b) of every flat entry, and their labels
+        s = row_sector[rows]
+        at, j = _runs(first[s], first[s] + size[s])
+        a, b = rows[j], rows[at]
+        dims, mults = (np.array([x[i] for x in self.layout]) for i in (2, 3))
+        label_block = np.repeat(np.arange(len(dims)), dims * mults)
+        local = np.arange(self.size) - np.repeat([x[1] for x in self.layout], dims * mults)
+        p, q = np.divmod(local, dims[label_block])  # row start + p dim + q
+        same = label_block[a] == label_block[b]
+        fit_at = np.flatnonzero(same)
+        a, b = a[fit_at], b[fit_at]
+        x_start = np.cumsum(mults ** 2) - mults ** 2
+        scale = np.append(np.repeat(1 / dims, mults ** 2), 0.0)
+        fit_to = np.where(q[a] == q[b], x_start[label_block[a]] + p[a] * mults[label_block[a]]
+                          + p[b], len(scale) - 1)
+        x_blocks = tuple((g, int(x), mg) for (g, _, _, mg), x in zip(self.layout, x_start))
+        tables = _DiagramIndex(tuple(groups), size, start, rows, first, rank, col_rank,
+                               label_block, np.flatnonzero(~same), fit_at, fit_to, scale,
+                               x_blocks)
+        for t in tables:
+            if isinstance(t, np.ndarray):
+                t.setflags(write=False)
+        for *_, at in groups:
+            at.setflags(write=False)
+        return tables
 
     def take_rows(self, index, adjoint: bool = False,
                   out: np.ndarray | None = None) -> np.ndarray:
@@ -517,7 +599,13 @@ class BlockDiagReport:
 
 
 def _fit_block(B: np.ndarray, dg: int, mg: int, extract: str):
-    """(X, fit) for one diagonal label block B, see block_fits."""
+    """(X, fit) for one diagonal label block B of M = W A W^dagger.
+
+    With extract="irrep" the block is fitted as Id_mult (x) X over (path, GT)
+    indices, X the average of its diagonal path blocks; with extract="mult"
+    as X (x) Id_dim, X the partial trace over GT indices divided by dim.
+    fit is that block form, of the shape of B.
+    """
     cube = B.reshape(mg, dg, mg, dg)
     if extract == "irrep":
         X = np.einsum("pqpr->qr", cube) / mg
@@ -528,24 +616,11 @@ def _fit_block(B: np.ndarray, dg: int, mg: int, extract: str):
     return X, fit.reshape(dg * mg, dg * mg)
 
 
-def block_fits(W: SchurTransform, M: np.ndarray, extract: str):
-    """Yield (gamma, slice, X, fit) for each label block of M = W A W^dagger.
-
-    With extract="irrep" the block is fitted as Id_mult (x) X over (path, GT)
-    indices, X the average of its diagonal path blocks; with extract="mult"
-    as X (x) Id_dim, X the partial trace over GT indices divided by dim.
-    fit is that block form, of the same shape as M[slice, slice].
-    """
-    for g, start, dg, mg in W.layout:
-        sl = slice(start, start + dg * mg)
-        yield (g, sl) + _fit_block(M[sl, sl], dg, mg, extract)
-
-
 def _structured_residuals(W: SchurTransform, column_block, extract: str) -> BlockDiagReport:
     """Exact max-entry residuals of M = W A W^dagger against its block form.
 
     column_block(sl) returns the columns M[:, sl] of one label block.  The
-    block form is fitted on M[sl, sl] as in block_fits; the structure
+    block form is fitted on M[sl, sl] as in _fit_block; the structure
     residual is the largest entry of M[sl, sl] minus its fit, and the
     off-block residual the largest entry of M[:, sl] outside rows sl, both
     maximized over the label blocks.  Only one column block of M is held at
@@ -586,19 +661,75 @@ def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
 
 
 def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> BlockDiagReport:
-    """Residuals of W psi(sigma) W^dagger against the Id (x) P block form.
+    """Residuals of M = W psi(sigma) W^dagger against the Id (x) P block form.
 
     The diagram action is taken in the same leg order as W.factor_order: the
     diagram's first n columns act on the '+' legs left to right, the last m
     columns on the '-' legs.
+
+    psi(sigma) commutes with U (x) conj(U), diagonal U included, so it
+    conserves weight, and M is zero between two weight sectors of a W that
+    does too.  Inside sector k, M_k = B_k psi_k B_k^dagger, with B_k the
+    sector block of W and psi_k = psi[cols_k, cols_k]; the blocks of one
+    size are multiplied as one stack, so no entry of M between two sectors
+    is formed.  Both residuals and the X_gamma are read from the M_k
+    (_DiagramIndex): the fit X_gamma[p, p'] sums entries whose rows share a
+    GT pattern, hence a sector, and an entry between two sectors is zero,
+    as is its fit.  Both facts fail only for the rows that W.off touches:
+    their rows and columns of M come from the general product, the rows
+    replace theirs in the M_k, and both are read for the entries between
+    two sectors, so the result is exact for any W.  A psi(sigma) with an
+    entry between two weights raises RuntimeError.
     """
     if (sigma.n, sigma.m) != (W.n, W.m):
         raise ValueError("diagram size does not match the transform")
     # a cap that admits W's own shape, d = 1 included
     A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, 2 ** (W.n + W.m), W.size),
-                         order=W.factor_order).tocsr()
-    return _structured_residuals(
-        W, lambda sl: W.matmul(A @ W.take_rows(sl, adjoint=True)), "mult")
+                         order=W.factor_order).tocoo()
+    row_sector, col_sector = W.sectors[1:]
+    k = col_sector[A.row]
+    if np.any(k != col_sector[A.col]):
+        raise RuntimeError("the diagram operator joins two weights: "
+                           "it does not commute with diagonal unitaries")
+    t = W._diagram_index
+    psi = np.zeros(t.groups[-1][2])  # psi(sigma) is a 0/1 matrix
+    np.add.at(psi, t.start[k] + t.col_rank[A.row] * t.size[k] + t.col_rank[A.col], A.data)
+    M = np.empty(len(psi), dtype=W.dtype)
+    for r, lo, hi, at in t.groups:
+        B = W.data[at].reshape(-1, r, r)
+        np.matmul(B @ psi[lo:hi].reshape(-1, r, r), B.conj().transpose(0, 2, 1),
+                  out=M[lo:hi].reshape(-1, r, r))
+
+    off_res = struct_res = 0.0
+    if W.off is not None:
+        # the rows j that W.off touches: M[:, j] = W psi W[j]^dagger, and
+        # M[j, :] is the adjoint of W psi^dagger W[j]^dagger
+        T = np.flatnonzero(np.diff(W.off.indptr))
+        Wt = W.take_rows(T, adjoint=True)
+        to_T = W.matmul(A @ Wt).T  # [i, b] = M[b, T[i]]
+        from_T = W.matmul(A.conj().T @ Wt).conj().T  # [i, b] = M[T[i], b]
+        # inside a sector, only entries between two rows of T differ from
+        # the sector product; the rows from_T overwrite them in the M_k
+        k = row_sector[T]
+        at, i = _runs(t.first[k], t.first[k] + t.size[k])
+        b, r = t.rows[at], t.size[k][i]
+        M[t.start[k][i] + t.rank[T][i] * r + t.rank[b]] = from_T[i, b]
+        # the entries between two sectors: zero in every fit
+        same_block = t.label_block[T][:, None] == t.label_block
+        cross = same_block & (k[:, None] != row_sector)
+        for line in (to_T, from_T):
+            off_res = max(off_res, float(np.abs(line[~same_block]).max(initial=0.0)))
+            struct_res = max(struct_res, float(np.abs(line[cross]).max(initial=0.0)))
+
+    off_res = max(off_res, float(np.abs(M[t.off_at]).max(initial=0.0)))
+    inside = M[t.fit_at]
+    X = np.bincount(t.fit_to, inside.real, len(t.scale))
+    if np.iscomplexobj(inside):
+        X = X + 1j * np.bincount(t.fit_to, inside.imag, len(t.scale))
+    X *= t.scale
+    struct_res = max(struct_res, float(np.abs(inside - X[t.fit_to]).max(initial=0.0)))
+    blocks = {g: X[x:x + mg * mg].reshape(mg, mg) for g, x, mg in t.x_blocks}
+    return BlockDiagReport(off_res, struct_res, blocks)
 
 
 def weight_sectors(n: int, m: int, d: int,

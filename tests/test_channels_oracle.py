@@ -18,7 +18,7 @@ from mskit.channels import (ChoiMatrix, _teleport_branches, choi_of_map,
                             random_cptp_choi, random_equivariant_choi,
                             teleport_apply, twirl, weyl_operator)
 from mskit.rand import haar_unitary, random_density, rng_from_seed
-from mskit.schur import SchurTransform, _structured_residuals, block_fits, build_mixed_schur
+from mskit.schur import SchurTransform, _structured_residuals, build_mixed_schur
 
 from test_schur import block_phased
 from test_schur_oracle import off_weight_copy
@@ -143,10 +143,20 @@ def dense_choi_to_schur(J, W):
     return _structured_residuals(W, lambda sl: M[:, sl], "mult")
 
 
+def mult_block_fits(W, M):
+    """(slice, fit) for each label block of M = W A W^dagger, fitted as
+    X (x) Id_dim over (path, GT) indices with X the partial trace over GT
+    indices divided by dim."""
+    for _, start, dg, mg in W.layout:
+        sl = slice(start, start + dg * mg)
+        X = np.einsum("pqrq->pr", M[sl, sl].reshape(mg, dg, mg, dg)) / dg
+        yield sl, np.kron(X, np.eye(dg))
+
+
 def dense_twirl(J, W):
     M = W.matrix @ J.matrix @ W.matrix.conj().T
     out = np.zeros_like(M)
-    for _, sl, _, fit in block_fits(W, M, "mult"):
+    for sl, fit in mult_block_fits(W, M):
         out[sl, sl] = fit
     return W.matrix.conj().T @ out @ W.matrix
 

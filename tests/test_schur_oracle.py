@@ -7,10 +7,12 @@ from the dense M = W A W^dagger.  They share no code with mskit.schur beyond
 the CG transforms and the GT pattern weights.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from mskit.brauer import from_permutation
+from mskit.brauer import all_diagrams, from_permutation
 from mskit.cg import cg_transform
 from mskit.gelfand import enumerate_patterns, pattern_weight
 from mskit.rand import haar_unitary, rng_from_seed
@@ -205,19 +207,38 @@ def assert_report_matches(rep, want):
         assert np.abs(rep.blocks[g] - X).max() <= 1e-13
 
 
-@pytest.mark.parametrize("variant", ["built", "off-sector entry", "complex"])
+def leaky_copy(W):
+    """W plus 1e-6 in every entry, so its off-sector part touches every row."""
+    V = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, W.matrix + 1e-6)
+    assert len(np.unique(V.off.nonzero()[0])) == W.size
+    return V
+
+
+def shape_diagrams(W, rng):
+    """Every diagram of W's shape, or three seeded ones where the dense
+    oracle would check more than 24 * 1024 rows of M in all."""
+    N = W.n + W.m
+    if math.factorial(N) * W.size <= 24 * 1024:
+        return all_diagrams(W.n, W.m)
+    return [from_permutation(tuple(int(x) for x in rng.permutation(N)), W.n, W.m)
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("variant", ["built", "off-sector entry", "complex", "leaky"])
 def test_verification_matches_dense_conjugation(built, variant):
     W, _ = built
     if variant == "off-sector entry":
         W = off_weight_copy(W, 1)
     elif variant == "complex":
         W = block_phased(W, 41)
+    elif variant == "leaky":
+        W = leaky_copy(W)
     rng = rng_from_seed(40 + W.size)
     U = haar_unitary(W.d, rng)
     A = np.ones((1, 1))
     for kind in W.factor_order:
         A = np.kron(A, U if kind == "+" else U.conj())
     assert_report_matches(verify_blockdiag(W, U), dense_block_residuals(W, A, "irrep"))
-    sigma = from_permutation(tuple(int(x) for x in rng.permutation(W.n + W.m)), W.n, W.m)
-    A = permuted_represent(sigma, W.d, W.factor_order).toarray()
-    assert_report_matches(verify_brauer(W, sigma), dense_block_residuals(W, A, "mult"))
+    for sigma in shape_diagrams(W, rng):
+        A = permuted_represent(sigma, W.d, W.factor_order).toarray()
+        assert_report_matches(verify_brauer(W, sigma), dense_block_residuals(W, A, "mult"))

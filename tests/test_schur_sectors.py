@@ -3,14 +3,16 @@
 A transform holds only its sector blocks and the sparse part outside them;
 W.matrix assembles the dense W on each access.  These tests check every row
 read and product of the sector form against that dense oracle, for built,
-phased and off-sector-perturbed transforms, and that no verification,
-channel or ptpqp path ever assembles it.
+phased and off-sector-perturbed transforms, that no verification,
+channel or ptpqp path ever assembles it, and that the diagram side of
+verify works inside the weight sectors alone.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mskit import brauer, schur
 from mskit import io as mio
@@ -143,6 +145,56 @@ def test_verification_never_assembles_the_dense_matrix(dense_reads, tmp_path, ca
     assert main(["verify", "--file", str(f), "--trials", "2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert dense_reads == []
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """(name, transform) of every W.matmul and W.take_rows call, in order."""
+    calls = []
+
+    def counting(name):
+        method = getattr(schur.SchurTransform, name)
+
+        def counted(W, *args, **kw):
+            calls.append((name, W))
+            return method(W, *args, **kw)
+        return counted
+
+    for name in ("matmul", "take_rows"):
+        monkeypatch.setattr(schur.SchurTransform, name, counting(name))
+    return calls
+
+
+def test_the_diagram_side_stays_inside_the_sectors(products):
+    W = build_mixed_schur(2, 2, 3)
+    V = off_weight_copy(W, 76)
+    products.clear()
+    rep = verify_brauer(V, brauer.identity(2, 2))
+    assert rep.off_block_residual > 1e-8  # the row V.off touches, from the general product
+    assert {name for name, _ in products} == {"matmul", "take_rows"}
+    products.clear()
+    for sigma in brauer.all_diagrams(2, 2):
+        rep = verify_brauer(W, sigma)
+        assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    assert products == []
+
+
+def test_a_diagram_operator_that_joins_two_weights_is_refused(monkeypatch, capsys):
+    represent = brauer.represent
+
+    def joining(sigma, d, **kw):  # adds |0><1|: |000> and |001> differ in weight
+        A = represent(sigma, d, **kw).tocoo()
+        return scipy.sparse.coo_matrix((np.append(A.data, 1), (np.append(A.row, 0),
+                                        np.append(A.col, 1))), shape=A.shape)
+
+    monkeypatch.setattr(brauer, "represent", joining)
+    W = build_mixed_schur(2, 1, 2)
+    with pytest.raises(RuntimeError, match="joins two weights"):
+        verify_brauer(W, brauer.identity(2, 1))
+    capsys.readouterr()
+    assert main(["verify", "2", "1", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "joins two weights" in err[0]
 
 
 def test_a_cascade_that_leaks_out_of_its_sectors_fails_verify(monkeypatch, capsys):
