@@ -167,7 +167,7 @@ def is_equivariant(J: ChoiMatrix, tol: float = 1e-10) -> tuple[bool, float]:
                         Cv += Tv
                     else:
                         Cv -= Tv
-                worst = max(worst, float(np.abs(C).max()))
+                worst = float(np.maximum(worst, np.abs(C).max()))
     return worst < tol, worst
 
 

@@ -37,9 +37,10 @@ operator must produce Id (x) P(diagram) blocks.  The verify_* functions
 measure the largest entry that departs from this structure, at every size,
 and no D x D complex matrix is held.  verify_blockdiag forms M = W A W^dagger
 one label column block M[:, block] at a time, since a Haar U does not
-conserve weight.  A diagram operator does, so verify_brauer forms only the
-block of M inside each weight sector, B_k psi_k B_k^dagger, and the rows
-and columns of M that the off-sector part of W touches.
+conserve weight.  A diagram operator does, so for a W that conserves weight
+too, as every built transform does, verify_brauer forms only the block of M
+inside each weight sector, B_k psi_k B_k^dagger; any other W (a tampered
+file, say) takes the label column blocks, as on the Haar side.
 """
 
 from __future__ import annotations
@@ -80,28 +81,24 @@ class _SectorIndex(NamedTuple):
 class _DiagramIndex(NamedTuple):
     """Where verify_brauer holds the sector blocks M_k of W psi W^dagger.
 
-    The r_k x r_k block of sector k starts at start[k] of one flat array,
-    entry (i, i') at start[k] + i r_k + i'.  The sectors are taken in order
-    of size: groups holds (r, lo, hi, at) for each size r, the blocks of
-    that size one after another in flat[lo:hi], and at the positions of
-    their entries in W.data.  The rows of sector k in increasing order are
-    rows[first[k]:first[k] + r_k]; rank[a] is the place of row a among
-    them and col_rank[c] that of column c among its sector's columns.
-    off_at are the flat entries whose two rows lie in different label
-    blocks, fit_at those whose rows share one, and fit_to the slot of each
-    of those in the concatenated X_gamma, whose blocks x_blocks lists as
-    (gamma, offset, mult).  fit_to is the last slot, of scale 0, for two
+    The r_k x r_k block of sector k, r_k = size[k], starts at start[k] of one
+    flat array, entry (i, i') at start[k] + i r_k + i' for the i-th and i'-th
+    rows of the sector in increasing order; psi_k is laid out the same way
+    by columns, col_rank[c] the place of column c among its sector's
+    columns.  The sectors are taken in order of size: groups holds
+    (r, lo, hi, at) for each size r, the blocks of that size one after
+    another in flat[lo:hi], and at the positions of their entries in
+    W.data.  off_at are the flat entries whose two rows lie in different
+    label blocks, fit_at those whose rows share one, and fit_to the slot of
+    each of those in the concatenated X_gamma, whose blocks x_blocks lists
+    as (gamma, offset, mult).  fit_to is the last slot, of scale 0, for two
     rows with different GT indices; scale holds 1 / dim(gamma) elsewhere.
     """
 
     groups: tuple[tuple[int, int, int, np.ndarray], ...]
     size: np.ndarray
     start: np.ndarray
-    rows: np.ndarray
-    first: np.ndarray
-    rank: np.ndarray
     col_rank: np.ndarray
-    label_block: np.ndarray
     off_at: np.ndarray
     fit_at: np.ndarray
     fit_to: np.ndarray
@@ -252,8 +249,7 @@ class SchurTransform:
         start[order] = np.cumsum(size[order] ** 2) - size[order] ** 2
         first[order] = np.cumsum(size[order]) - size[order]
         rows = np.concatenate([index.rows[k] for k in order])
-        rank, col_rank = np.empty(self.size, dtype=np.intp), np.empty(self.size, dtype=np.intp)
-        rank[rows] = np.arange(self.size) - np.repeat(first[order], size[order])
+        col_rank = np.empty(self.size, dtype=np.intp)
         for c in index.cols:
             col_rank[c] = np.arange(len(c))
         groups = []
@@ -279,9 +275,8 @@ class SchurTransform:
         fit_to = np.where(q[a] == q[b], x_start[label_block[a]] + p[a] * mults[label_block[a]]
                           + p[b], len(scale) - 1)
         x_blocks = tuple((g, int(x), mg) for (g, _, _, mg), x in zip(self.layout, x_start))
-        tables = _DiagramIndex(tuple(groups), size, start, rows, first, rank, col_rank,
-                               label_block, np.flatnonzero(~same), fit_at, fit_to, scale,
-                               x_blocks)
+        tables = _DiagramIndex(tuple(groups), size, start, col_rank, np.flatnonzero(~same),
+                               fit_at, fit_to, scale, x_blocks)
         for t in tables:
             if isinstance(t, np.ndarray):
                 t.setflags(write=False)
@@ -374,11 +369,11 @@ class SchurTransform:
         exact = b_max = e_max = 0.0
         for rows, B in zip(self.rows, self.blocks):
             if len(rows):
-                exact = max(exact, float(np.abs(B @ B.conj().T - np.eye(len(rows))).max()))
-                b_max = max(b_max, float(np.linalg.norm(B, axis=1).max()))
+                exact = np.maximum(exact, np.abs(B @ B.conj().T - np.eye(len(rows))).max())
+                b_max = np.maximum(b_max, np.linalg.norm(B, axis=1).max())
         if self.off is not None:
-            e_max = float(np.sqrt(abs(self.off).power(2).sum(axis=1).max()))
-        return exact + 2 * b_max * e_max + e_max ** 2
+            e_max = np.sqrt(abs(self.off).power(2).sum(axis=1).max())
+        return float(exact + 2 * b_max * e_max + e_max ** 2)
 
 
 @functools.cache
@@ -632,11 +627,11 @@ def _structured_residuals(W: SchurTransform, column_block, extract: str) -> Bloc
         sl = slice(start, start + dg * mg)
         C = column_block(sl)
         blocks[g], fit = _fit_block(C[sl], dg, mg, extract)
-        struct_res = max(struct_res, float(np.abs(C[sl] - fit).max()))
+        struct_res = np.maximum(struct_res, np.abs(C[sl] - fit).max())
         for rest in (C[:sl.start], C[sl.stop:]):
             if rest.size:
-                off_res = max(off_res, float(np.abs(rest).max()))
-    return BlockDiagReport(off_res, struct_res, blocks)
+                off_res = np.maximum(off_res, np.abs(rest).max())
+    return BlockDiagReport(float(off_res), float(struct_res), blocks)
 
 
 def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
@@ -668,29 +663,31 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
     columns on the '-' legs.
 
     psi(sigma) commutes with U (x) conj(U), diagonal U included, so it
-    conserves weight, and M is zero between two weight sectors of a W that
-    does too.  Inside sector k, M_k = B_k psi_k B_k^dagger, with B_k the
-    sector block of W and psi_k = psi[cols_k, cols_k]; the blocks of one
-    size are multiplied as one stack, so no entry of M between two sectors
-    is formed.  Both residuals and the X_gamma are read from the M_k
-    (_DiagramIndex): the fit X_gamma[p, p'] sums entries whose rows share a
-    GT pattern, hence a sector, and an entry between two sectors is zero,
-    as is its fit.  Both facts fail only for the rows that W.off touches:
-    their rows and columns of M come from the general product, the rows
-    replace theirs in the M_k, and both are read for the entries between
-    two sectors, so the result is exact for any W.  A psi(sigma) with an
-    entry between two weights raises RuntimeError.
+    conserves weight; a psi(sigma) with an entry between two weights raises
+    RuntimeError.  A W with entries outside its sectors (W.off) takes the
+    label column blocks of _structured_residuals, as verify_blockdiag does.
+    A W that conserves weight, as every built transform does, makes M zero
+    between two weight sectors.  Inside sector k, M_k = B_k psi_k B_k^dagger,
+    with B_k the sector block of W and psi_k = psi[cols_k, cols_k]; the
+    blocks of one size are multiplied as one stack, so no entry of M between
+    two sectors is formed.  Both residuals and the X_gamma are read from the
+    M_k (_DiagramIndex): the fit X_gamma[p, p'] sums entries whose rows
+    share a GT pattern, hence a sector, and an entry between two sectors is
+    zero, as is its fit.
     """
     if (sigma.n, sigma.m) != (W.n, W.m):
         raise ValueError("diagram size does not match the transform")
     # a cap that admits W's own shape, d = 1 included
     A = brauer.represent(sigma, W.d, cap=max(DEFAULT_CAP, 2 ** (W.n + W.m), W.size),
                          order=W.factor_order).tocoo()
-    row_sector, col_sector = W.sectors[1:]
+    col_sector = W.sectors[2]
     k = col_sector[A.row]
     if np.any(k != col_sector[A.col]):
         raise RuntimeError("the diagram operator joins two weights: "
                            "it does not commute with diagonal unitaries")
+    if W.off is not None:
+        return _structured_residuals(
+            W, lambda sl: W.matmul(A @ W.take_rows(sl, adjoint=True)), "mult")
     t = W._diagram_index
     psi = np.zeros(t.groups[-1][2])  # psi(sigma) is a 0/1 matrix
     np.add.at(psi, t.start[k] + t.col_rank[A.row] * t.size[k] + t.col_rank[A.col], A.data)
@@ -700,34 +697,13 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
         np.matmul(B @ psi[lo:hi].reshape(-1, r, r), B.conj().transpose(0, 2, 1),
                   out=M[lo:hi].reshape(-1, r, r))
 
-    off_res = struct_res = 0.0
-    if W.off is not None:
-        # the rows j that W.off touches: M[:, j] = W psi W[j]^dagger, and
-        # M[j, :] is the adjoint of W psi^dagger W[j]^dagger
-        T = np.flatnonzero(np.diff(W.off.indptr))
-        Wt = W.take_rows(T, adjoint=True)
-        to_T = W.matmul(A @ Wt).T  # [i, b] = M[b, T[i]]
-        from_T = W.matmul(A.conj().T @ Wt).conj().T  # [i, b] = M[T[i], b]
-        # inside a sector, only entries between two rows of T differ from
-        # the sector product; the rows from_T overwrite them in the M_k
-        k = row_sector[T]
-        at, i = _runs(t.first[k], t.first[k] + t.size[k])
-        b, r = t.rows[at], t.size[k][i]
-        M[t.start[k][i] + t.rank[T][i] * r + t.rank[b]] = from_T[i, b]
-        # the entries between two sectors: zero in every fit
-        same_block = t.label_block[T][:, None] == t.label_block
-        cross = same_block & (k[:, None] != row_sector)
-        for line in (to_T, from_T):
-            off_res = max(off_res, float(np.abs(line[~same_block]).max(initial=0.0)))
-            struct_res = max(struct_res, float(np.abs(line[cross]).max(initial=0.0)))
-
-    off_res = max(off_res, float(np.abs(M[t.off_at]).max(initial=0.0)))
+    off_res = float(np.abs(M[t.off_at]).max(initial=0.0))
     inside = M[t.fit_at]
     X = np.bincount(t.fit_to, inside.real, len(t.scale))
     if np.iscomplexobj(inside):
         X = X + 1j * np.bincount(t.fit_to, inside.imag, len(t.scale))
     X *= t.scale
-    struct_res = max(struct_res, float(np.abs(inside - X[t.fit_to]).max(initial=0.0)))
+    struct_res = float(np.abs(inside - X[t.fit_to]).max(initial=0.0))
     blocks = {g: X[x:x + mg * mg].reshape(mg, mg) for g, x, mg in t.x_blocks}
     return BlockDiagReport(off_res, struct_res, blocks)
 
@@ -789,8 +765,8 @@ def weight_check(W: SchurTransform, seed: int = 7, trials: int = 5) -> float:
         theta = rng.uniform(-np.pi, np.pi, size=W.d)
         phases = np.exp(1j * (weights @ theta))
         gap = np.abs(phases[:, None] - phases[None, :]) ** 2
-        worst = max(worst, float(np.sqrt((mass * gap).sum())))
-    return worst
+        worst = np.maximum(worst, np.sqrt((mass * gap).sum()))
+    return float(worst)
 
 
 def ptpqp_amplitude(n: int, m: int, d: int,

@@ -50,6 +50,13 @@ def test_nonequivariant_detected():
     assert not ok and resid > 1e-3
 
 
+def test_a_nan_entry_is_not_equivariant():
+    J = example_channel(0.05, -0.02, 0.01, 0.03)
+    J.matrix[3, 5] = np.nan
+    ok, resid = is_equivariant(J)
+    assert ok is False and np.isnan(resid)
+
+
 def test_apply_direct_dimensions():
     J = identity_choi(2)
     with pytest.raises(ValueError):

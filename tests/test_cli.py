@@ -114,6 +114,24 @@ def test_verify_corrupted_file(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_fails_a_nan_inside_a_sector(tmp_path, capsys):
+    # a NaN in any product a check forms is that check's residual, never dropped
+    f = tmp_path / "w"
+    run(capsys, "schur", "2", "1", "2", "--out", str(f))
+    W = mio.read_schur(io.StringIO(f.read_text()))
+    assert W.sectors[1][1] == W.sectors[2][4]  # entry (1, 4) lies inside a sector
+    lines = f.read_text().splitlines()
+    row = lines[2 + W.size + 1].split()
+    row[4] = "nan,0.0"
+    lines[2 + W.size + 1] = " ".join(row)
+    f.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "3")
+    assert code == 1
+    results = dict(line.split(": ", 1) for line in out.splitlines())
+    for name in ("unitarity", "block off-diagonal", "multiplicity structure", "diagram side"):
+        assert results[name] == "nan FAIL"
+
+
 def test_verify_needs_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
@@ -173,6 +191,26 @@ def test_channel_apply_and_teleport(tmp_path, capsys):
     with open(out_f) as f:
         tele = mio.read_matrix(f)
     assert np.abs(tele - direct).max() < 1e-8
+    # the output sums every outcome, so --seed does not change it
+    code, out, _ = run(capsys, "channel", "teleport", "--choi", str(choi),
+                       "--rho", str(rho_f), "--seed", "5")
+    assert code == 0 and out == out_f.read_text()
+
+
+def test_channel_teleport_of_a_nan_choi_is_one_line_error(tmp_path, capsys):
+    choi, rho = tmp_path / "choi", tmp_path / "rho"
+    run(capsys, "channel", "example", "--t", "0.05", "--u", "-0.02", "--v", "0.01",
+        "--w", "0.03", "--out", str(choi))
+    with open(choi) as f:
+        J = mio.read_choi(f)
+    J.matrix[3, 5] = np.nan
+    with open(choi, "w") as f:
+        mio.write_choi(f, J)
+    with open(rho, "w") as f:
+        mio.write_matrix(f, random_density(2, rng_from_seed(1)))
+    code, out, err = run(capsys, "channel", "teleport", "--choi", str(choi), "--rho", str(rho))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "not equivariant (residual nan)" in err
 
 
 def test_channel_twirl(tmp_path, capsys):

@@ -216,6 +216,14 @@ def test_a_cascade_that_leaks_out_of_its_sectors_fails_verify(monkeypatch, capsy
     assert next(line for line in lines if line.startswith("diagonal weights")).endswith("FAIL")
 
 
+def test_weight_check_keeps_a_nan_outside_the_sectors():
+    V = off_weight_copy(build_mixed_schur(2, 1, 2), 5)
+    M = V.matrix.copy()
+    M[tuple(x[0] for x in V.off.nonzero())] = np.nan
+    V = SchurTransform.from_matrix(V.n, V.m, V.d, V.factor_order, M)
+    assert np.isnan(weight_check(V))
+
+
 def test_replace_keeps_the_sector_data_it_is_given(dense_reads):
     W = build_mixed_schur(2, 1, 2)
     V = dataclasses.replace(W, data=-W.data)
