@@ -184,14 +184,14 @@ def choi_to_schur(J: ChoiMatrix, W: SchurTransform) -> BlockDiagReport:
     For an equivariant Choi matrix the conjugated matrix vanishes between
     staircase sectors and each sector is Id_{dim} (x) X_gamma over (GT, path)
     indices; the X_gamma are returned.  With K = W J^dagger, one weight
-    sector product, the column block of W J W^dagger on the label block sl
-    is W K[sl]^dagger, another, so W J W^dagger is never held whole.
+    sector product, each column chunk of W J W^dagger on the columns cols
+    is W K[cols]^dagger, another, so W J W^dagger is never held whole.
     """
     _check_transform(J, W)
     # np.conjugate with order="C" transposes and conjugates in one pass
     K = W.matmul(np.conjugate(J.matrix.T, order="C"))
     return _structured_residuals(
-        W, lambda sl: W.matmul(np.conjugate(K[sl].T, order="C")), "mult")
+        W, lambda cols: W.matmul(np.conjugate(K[cols].T, order="C")), "mult")
 
 
 def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:

@@ -113,6 +113,8 @@ def cmd_channel(args) -> int:
         J = mio.read_choi(f, cap=_cap(args))
     if args.channel_cmd == "twirl":
         Jt = channels.twirl(J, J.schur_transform(cap=_cap(args)))
+        if not np.isfinite(Jt.matrix).all():
+            raise ValueError("the twirled Choi matrix has a non-finite entry")
         with open(args.out, "w") as f:
             mio.write_choi(f, Jt)
         return 0
@@ -120,6 +122,8 @@ def cmd_channel(args) -> int:
         rho = mio.read_matrix(f, cap=_cap(args))
     if args.channel_cmd == "apply":
         out = channels.apply_direct(J, rho)
+        if not np.isfinite(out).all():
+            raise ValueError("the output state has a non-finite entry")
     else:  # teleport
         out, probs = channels.teleport_apply(J, rho)
         uniform = float(np.abs(probs - 1 / len(probs)).max())

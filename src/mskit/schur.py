@@ -36,11 +36,11 @@ Q(U) (x) Id over (GT, path) indices; conjugating a walled-Brauer-diagram
 operator must produce Id (x) P(diagram) blocks.  The verify_* functions
 measure the largest entry that departs from this structure, at every size,
 and no D x D complex matrix is held.  verify_blockdiag forms M = W A W^dagger
-one label column block M[:, block] at a time, since a Haar U does not
-conserve weight.  A diagram operator does, so for a W that conserves weight
-too, as every built transform does, verify_brauer forms only the block of M
-inside each weight sector, B_k psi_k B_k^dagger; any other W (a tampered
-file, say) takes the label column blocks, as on the Haar side.
+in column chunks M[:, cols] of at most _COLUMN_ENTRIES entries, since a Haar
+U does not conserve weight.  A diagram operator does, so for a W that
+conserves weight too, as every built transform does, verify_brauer forms
+only the block of M inside each weight sector, B_k psi_k B_k^dagger; any
+other W (a tampered file, say) takes the column chunks, as on the Haar side.
 """
 
 from __future__ import annotations
@@ -105,6 +105,9 @@ class _DiagramIndex(NamedTuple):
     scale: np.ndarray
     x_blocks: tuple[tuple[Staircase, int, int], ...]
 
+
+# the entries of M = W A W^dagger that the checks form at a time: 16 MB of complex data
+_COLUMN_ENTRIES = 1 << 20
 
 # the zero of each sign code: bit 0 is the sign of the real part, bit 1 of the imaginary part
 _SIGNED_ZEROS = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]).view(complex)[:, 0]
@@ -284,25 +287,17 @@ class SchurTransform:
             at.setflags(write=False)
         return tables
 
-    def take_rows(self, index, adjoint: bool = False,
-                  out: np.ndarray | None = None) -> np.ndarray:
+    def take_rows(self, index, adjoint: bool = False) -> np.ndarray:
         """W[index], or W[index]^dagger with adjoint=True, read from data.
 
         index is a slice or an array of row indices.  Each row is one run of
         data, read with the runs of the other rows through one flat index,
-        whatever the number of sectors they meet.  out, a C-contiguous array
-        of the result's shape, receives the result in place of a new array; its
-        dtype may be wider than W's, as for the complex work buffers of
-        verify_blockdiag.  The result equals W.matrix[index] bit for bit.
+        whatever the number of sectors they meet.  The result equals
+        W.matrix[index] bit for bit.
         """
         rows = np.arange(self.size)[index]
-        if out is None:
-            shape = (self.size, len(rows)) if adjoint else (len(rows), self.size)
-            out = np.zeros(shape, dtype=self.dtype)
-        elif out.flags.c_contiguous:
-            out[...] = 0
-        else:
-            raise ValueError("take_rows needs a C-contiguous out")
+        shape = (self.size, len(rows)) if adjoint else (len(rows), self.size)
+        out = np.zeros(shape, dtype=self.dtype)
         flat, width = out.reshape(-1), out.shape[1]
         zeros = _SIGNED_ZEROS if self.dtype.kind == "c" else _SIGNED_ZEROS.real
 
@@ -328,21 +323,18 @@ class SchurTransform:
             put(E.row, E.col, E.data)
         return out
 
-    def matmul(self, X: np.ndarray, adjoint: bool = False,
-               out: np.ndarray | None = None) -> np.ndarray:
+    def matmul(self, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """W X, or W^dagger X with adjoint=True, one GEMM per weight sector.
 
         A product costs the sum of |rows_k| |cols_k| over sectors per column
         of X, not D^2, and equals the dense product for any W.  A real block
         meets a complex X through the float view of X, so the GEMM stays
-        real.  out, a C-contiguous array of the product's shape and type,
-        receives the product in place of a new array.
+        real.
         """
         X = np.ascontiguousarray(X)
         shape = X.shape
         X = X.reshape(shape[0], -1)
-        if out is None:
-            out = np.empty(shape, dtype=np.result_type(self.dtype, X))
+        out = np.empty(shape, dtype=np.result_type(self.dtype, X))
         flat = out.reshape(out.shape[0], -1)
         Xv, outv = X, flat
         if not np.issubdtype(self.dtype, np.complexfloating) and np.iscomplexobj(X):
@@ -545,41 +537,24 @@ def _factor_groups(factors: list[np.ndarray], target: int = 16) -> list[np.ndarr
     return groups
 
 
-def apply_legs(X: np.ndarray, factors: list[np.ndarray], *,
-               work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def apply_legs(X: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Compute (factor_1 (x) ... (x) factor_k) @ X without forming the kron.
 
-    Legs are fused into groups of roughly sqrt(row-count) and each group is
-    applied slab by slab as contiguous GEMMs, so no transposed copies of the
-    big array are ever made.  work is two flat complex arrays of at least
-    X.size entries each; the result is a view of one of them.  X may be the
-    first X.size entries of work[0], shaped as X, as W.take_rows writes
-    them; it is then used in place.
+    Legs are fused into groups of at most 16 rows (_factor_groups), and each
+    group is applied as one broadcast GEMM over the legs before it, on a
+    complex copy of X and one buffer of its size, so no transposed copy is
+    made and X is not modified.
     """
-    if not factors:
-        return X.copy()
-    rows = int(np.prod([f.shape[0] for f in factors]))
-    groups = _factor_groups(factors, target=max(16, int(np.sqrt(rows))))
-    ncols = X.shape[1]
-    Y, buf = (w[:rows * ncols] for w in work)
-    # X is cast to complex and laid out in C order 32 columns at a time: a
-    # transposed view, the usual X, is then read in cache-sized strips, which
-    # takes a third of the time of one whole-array assignment at D = 4096
-    Yv = Y.reshape(rows, ncols)
-    if not (X.dtype == Y.dtype and X.flags.c_contiguous and X.ctypes.data == Y.ctypes.data):
-        for c in range(0, ncols, 32):
-            Yv[:, c:c + 32] = X[:, c:c + 32]
+    Y = np.array(X, dtype=complex, order="C")
+    buf = np.empty_like(Y)
     lead = 1
-    for g in groups:
+    for g in _factor_groups(factors):
         a = g.shape[0]
-        tail = rows // (lead * a) * ncols
-        src = Y.reshape(lead, a, tail)
-        dst = buf.reshape(lead, a, tail)
-        for i in range(lead):
-            np.matmul(g, src[i], out=dst[i])
+        tail = Y.size // (lead * a)
+        np.matmul(g, Y.reshape(lead, a, tail), out=buf.reshape(lead, a, tail))
         Y, buf = buf, Y
         lead *= a
-    return Y.reshape(X.shape[0], ncols)
+    return Y
 
 
 def mixed_tensor_factors(U: np.ndarray, order: str) -> list[np.ndarray]:
@@ -611,48 +586,45 @@ def _fit_block(B: np.ndarray, dg: int, mg: int, extract: str):
     return X, fit.reshape(dg * mg, dg * mg)
 
 
-def _structured_residuals(W: SchurTransform, column_block, extract: str) -> BlockDiagReport:
+def _structured_residuals(W: SchurTransform, columns, extract: str) -> BlockDiagReport:
     """Exact max-entry residuals of M = W A W^dagger against its block form.
 
-    column_block(sl) returns the columns M[:, sl] of one label block.  The
-    block form is fitted on M[sl, sl] as in _fit_block; the structure
-    residual is the largest entry of M[sl, sl] minus its fit, and the
-    off-block residual the largest entry of M[:, sl] outside rows sl, both
-    maximized over the label blocks.  Only one column block of M is held at
-    a time, and the caller's block is not modified.
+    columns(cols) returns the columns M[:, cols] for a slice cols.  The
+    columns of each label block sl are requested in chunks of at most
+    max(1, _COLUMN_ENTRIES // D) columns, so only one chunk of M is held at
+    a time, next to the copy of M[sl, sl] that the chunks fill.  The block
+    form is fitted on M[sl, sl] as in _fit_block; the structure residual is
+    the largest entry of M[sl, sl] minus its fit, and the off-block residual
+    the largest entry of M[:, sl] outside rows sl, both maximized over the
+    label blocks.  The caller's chunks are not modified.
     """
+    step = max(1, _COLUMN_ENTRIES // W.size)
     blocks: dict[Staircase, np.ndarray] = {}
     off_res = struct_res = 0.0
     for g, start, dg, mg in W.layout:
-        sl = slice(start, start + dg * mg)
-        C = column_block(sl)
-        blocks[g], fit = _fit_block(C[sl], dg, mg, extract)
-        struct_res = np.maximum(struct_res, np.abs(C[sl] - fit).max())
-        for rest in (C[:sl.start], C[sl.stop:]):
-            if rest.size:
-                off_res = np.maximum(off_res, np.abs(rest).max())
+        stop = start + dg * mg
+        B = None
+        for a in range(start, stop, step):
+            C = columns(slice(a, min(a + step, stop)))
+            if B is None:
+                B = np.empty((stop - start,) * 2, dtype=C.dtype)
+            B[:, a - start:a - start + step] = C[start:stop]
+            for rest in (C[:start], C[stop:]):
+                off_res = np.maximum(off_res, np.abs(rest).max(initial=0.0))
+        blocks[g], fit = _fit_block(B, dg, mg, extract)
+        struct_res = np.maximum(struct_res, np.abs(B - fit).max())
     return BlockDiagReport(float(off_res), float(struct_res), blocks)
 
 
 def verify_blockdiag(W: SchurTransform, U: np.ndarray) -> BlockDiagReport:
     """Residuals of W (mixed tensor of U) W^dagger against the Q (x) Id block form.
 
-    Column block sl is W times the legs of U applied to W^dagger[:, sl].  One
-    pair of buffers, sized for the largest label block, serves every block:
-    the rows of sl are gathered from the sector blocks into the first, the
-    legs run in both, and the product goes to the one they leave free.
+    Each column chunk of M is W times the legs of U applied to the rows of
+    W^dagger for those columns, taken as _structured_residuals requests it.
     """
     factors = mixed_tensor_factors(np.asarray(U, dtype=complex), W.factor_order)
-    entries = W.size * max(dg * mg for _, _, dg, mg in W.layout)
-    work = (np.empty(entries, dtype=complex), np.empty(entries, dtype=complex))
-
-    def column_block(sl):
-        X = work[0][:W.size * (sl.stop - sl.start)].reshape(W.size, -1)
-        Y = apply_legs(W.take_rows(sl, adjoint=True, out=X), factors, work=work)
-        out = work[1] if np.may_share_memory(Y, work[0]) else work[0]
-        return W.matmul(Y, out=out[:Y.size].reshape(Y.shape))
-
-    return _structured_residuals(W, column_block, "irrep")
+    return _structured_residuals(
+        W, lambda cols: W.matmul(apply_legs(W.take_rows(cols, adjoint=True), factors)), "irrep")
 
 
 def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> BlockDiagReport:
@@ -665,7 +637,7 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
     psi(sigma) commutes with U (x) conj(U), diagonal U included, so it
     conserves weight; a psi(sigma) with an entry between two weights raises
     RuntimeError.  A W with entries outside its sectors (W.off) takes the
-    label column blocks of _structured_residuals, as verify_blockdiag does.
+    column chunks of _structured_residuals, as verify_blockdiag does.
     A W that conserves weight, as every built transform does, makes M zero
     between two weight sectors.  Inside sector k, M_k = B_k psi_k B_k^dagger,
     with B_k the sector block of W and psi_k = psi[cols_k, cols_k]; the

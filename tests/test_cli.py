@@ -213,6 +213,33 @@ def test_channel_teleport_of_a_nan_choi_is_one_line_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "not equivariant (residual nan)" in err
 
 
+def nan_choi(tmp_path, capsys):
+    """(choi, rho) files: the example channel with J[3, 5] = NaN, and a state."""
+    choi, rho = tmp_path / "choi", tmp_path / "rho"
+    run(capsys, "channel", "example", "--t", "0.05", "--u", "-0.02", "--v", "0.01",
+        "--w", "0.03", "--out", str(choi))
+    with open(choi) as f:
+        J = mio.read_choi(f)
+    J.matrix[3, 5] = np.nan
+    with open(choi, "w") as f:
+        mio.write_choi(f, J)
+    with open(rho, "w") as f:
+        mio.write_matrix(f, random_density(2, rng_from_seed(1)))
+    return choi, rho
+
+
+@pytest.mark.parametrize("command,flags", [("apply", ["--rho"]), ("apply", ["--rho", "--out"]),
+                                           ("twirl", ["--out"])])
+def test_channel_of_a_nan_choi_is_one_line_error(tmp_path, capsys, command, flags):
+    choi, rho = nan_choi(tmp_path, capsys)
+    out_f = tmp_path / "out"
+    files = {"--rho": str(rho), "--out": str(out_f)}
+    code, out, err = run(capsys, "channel", command, "--choi", str(choi),
+                         *[x for flag in flags for x in (flag, files[flag])])
+    assert code == 1 and out == "" and not out_f.exists()
+    assert len(err.splitlines()) == 1 and "non-finite entry" in err
+
+
 def test_channel_twirl(tmp_path, capsys):
     choi = tmp_path / "choi"
     out_f = tmp_path / "tw"

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from mskit import schur
 from mskit.brauer import all_diagrams, from_permutation
 from mskit.cg import cg_transform
 from mskit.gelfand import enumerate_patterns, pattern_weight
@@ -225,7 +226,7 @@ def shape_diagrams(W, rng):
 
 
 @pytest.mark.parametrize("variant", ["built", "off-sector entry", "complex", "leaky"])
-def test_verification_matches_dense_conjugation(built, variant):
+def test_verification_matches_dense_conjugation(built, variant, monkeypatch):
     W, _ = built
     if variant == "off-sector entry":
         W = off_weight_copy(W, 1)
@@ -238,7 +239,14 @@ def test_verification_matches_dense_conjugation(built, variant):
     A = np.ones((1, 1))
     for kind in W.factor_order:
         A = np.kron(A, U if kind == "+" else U.conj())
-    assert_report_matches(verify_blockdiag(W, U), dense_block_residuals(W, A, "irrep"))
-    for sigma in shape_diagrams(W, rng):
-        A = permuted_represent(sigma, W.d, W.factor_order).toarray()
-        assert_report_matches(verify_brauer(W, sigma), dense_block_residuals(W, A, "mult"))
+    haar = dense_block_residuals(W, A, "irrep")
+    diagrams = [(sigma, dense_block_residuals(
+        W, permuted_represent(sigma, W.d, W.factor_order).toarray(), "mult"))
+        for sigma in shape_diagrams(W, rng)]
+    # whole label blocks, then chunks of max(3, D/16) columns, so that every
+    # label block wider than that spans several
+    for entries in (schur._COLUMN_ENTRIES, max(3, W.size // 16) * W.size):
+        monkeypatch.setattr(schur, "_COLUMN_ENTRIES", entries)
+        assert_report_matches(verify_blockdiag(W, U), haar)
+        for sigma, want in diagrams:
+            assert_report_matches(verify_brauer(W, sigma), want)

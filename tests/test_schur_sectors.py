@@ -55,9 +55,6 @@ def check_row_reads(name, V, rng, M=None):
         # so the adjoint is compared by value, exactly
         want = M[index].conj().T
         assert np.array_equal(V.take_rows(index, adjoint=True), want), name
-        buf = np.full(want.shape, np.nan, dtype=complex)  # stale entries are cleared
-        assert V.take_rows(index, adjoint=True, out=buf) is buf
-        assert np.array_equal(buf, want), name
 
 
 @pytest.mark.parametrize("n,m,d", GRID)
@@ -177,6 +174,22 @@ def test_the_diagram_side_stays_inside_the_sectors(products):
         rep = verify_brauer(W, sigma)
         assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
     assert products == []
+
+
+def test_the_haar_side_reads_bounded_column_chunks(monkeypatch):
+    W = build_mixed_schur(3, 2, 3)  # D = 243, label blocks up to 75 columns wide
+    monkeypatch.setattr(schur, "_COLUMN_ENTRIES", 7 * W.size + 5)
+    take_rows, widths = schur.SchurTransform.take_rows, []
+
+    def counted(V, index, *args, **kw):
+        widths.append(len(np.arange(V.size)[index]))
+        return take_rows(V, index, *args, **kw)
+
+    monkeypatch.setattr(schur.SchurTransform, "take_rows", counted)
+    rep = verify_blockdiag(W, haar_unitary(3, rng_from_seed(77)))
+    assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    assert max(widths) <= schur._COLUMN_ENTRIES // W.size == 7
+    assert sum(widths) == W.size  # every column once
 
 
 def test_a_diagram_operator_that_joins_two_weights_is_refused(monkeypatch, capsys):
