@@ -100,7 +100,8 @@ def write_schur(f: TextIO, W: SchurTransform) -> None:
     f.write(W.factor_order + "\n")
     for g, q, p in W.basis:
         f.write(f"gamma={format_staircase(g)} q={q} p={p}\n")
-    _write_rows(f, W.matrix)
+    for a in range(0, W.size, 64):  # 64 rows of W at a time, never the dense W
+        _write_rows(f, W.take_rows(slice(a, a + 64)))
 
 
 def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:

@@ -5,26 +5,30 @@ the computational basis of the mixed tensor power to the labeled basis
 |staircase, GT index, path index>.  One Clebsch-Gordan transform is applied
 per tensor leg, defining or dual according to factor_order; the sequence of
 intermediate staircases seen by each output block is a path in the box
-add/remove tower, which fixes the multiplicity label.  Each leg costs one
-GEMM per staircase reached so far, over all segments ending there at once,
-and makes no transposed copy of its output.  The labels of the rows are a
-function of (n, m, d) alone, bratteli.row_layout, and io rejects a
-transform file whose labels differ from it.
+add/remove tower, which fixes the multiplicity label.  The labels of the
+rows are a function of (n, m, d) alone, bratteli.row_layout, and io
+rejects a transform file whose labels differ from it.
 
 The GT basis conserves weight, so W is block diagonal once rows are grouped
-by pattern weight and columns by computational weight (weight_sectors).  A
-SchurTransform is held in that one form: the dense block of each weight
-sector, plus the sparse part of W outside every sector, which is None when
-that part is zero, as it is for a correct cascade.  The last leg of the
-cascade scatters its GEMM output straight into the sector blocks and keeps
-any nonzero it finds outside them, so no dense W is built or kept, and
-the checks still see a cascade that leaks out of its sectors.  Every
-product against W (W.matmul) and every read of its rows (W.take_rows)
-works on the blocks; W.matrix is a dense, read-only copy assembled on each
-access, for io and for tests.  weight_check returns the exact
-random-phase Frobenius deviation from a table of squared entries per pair
-of weights, and SchurTransform.unitarity_residual is exact inside each
-sector and adds a Cauchy-Schwarz bound for the entries between sectors.
+by pattern weight and columns by computational weight (weight_sectors), and
+so is every partial transform of the cascade.  The cascade runs inside
+those sectors: each leg keeps, per staircase reached and per weight, the
+blocks of all paths ending there, and a coupling, which conserves weight
+too, takes the block of target weight w' from the blocks of weight
+w' - e_i at leg value i on a '+' leg (w' + e_i on a '-' leg), with one GEMM
+per (staircase, source weight) over all of its paths.  No entry outside a
+sector is ever computed, and the last leg writes straight into the sector
+data, so a build holds its sector data and about one level of the cascade.
+A SchurTransform is held in that one form: the dense block of each weight
+sector, plus the sparse part of W outside every sector (W.off), which only
+a matrix read from a file can have.  Every product against W (W.matmul)
+and every read of its rows (W.take_rows) works on the blocks; W.matrix is
+a dense, read-only copy assembled on each access, for tests and small
+examples; io writes a transform 64 rows at a time.  weight_check
+returns the exact random-phase Frobenius deviation from a table of squared
+entries per pair of weights, and SchurTransform.unitarity_residual is exact
+inside each sector and adds a Cauchy-Schwarz bound for the entries between
+sectors.
 
 A SchurTransform is an immutable value: every array it holds is read-only,
 and the arrays it is given are taken over.  A transform with another matrix is a new value, made with
@@ -412,29 +416,151 @@ def _row_runs(index: _SectorIndex, rows: np.ndarray):
     return at, index.col_order[at + (index.row_first[rows] - start)[j]], j
 
 
-def _leg_plan(segments, kind: str):
-    """(coupling, segments) for each staircase the segments end at, in the
-    order the staircases are first reached."""
-    grouped: dict[Staircase, list] = {}
-    for segment in segments:
-        grouped.setdefault(segment[0][-1], []).append(segment)
-    name = "defining" if kind == "+" else "dual"
-    return [(cg_transform(name, g), members) for g, members in grouped.items()]
+class _Weights(NamedTuple):
+    """The GT patterns of one staircase grouped by weight.
 
-
-def _couple(t, members, d: int) -> np.ndarray:
-    """One leg's GEMM over every segment ending at the coupling's input.
-
-    ((s, n), q) @ (q, (i, r)) -> (s, (n, i), r): the stored coupling entry
-    (row, q * d + i) lands at flat index (q * d + i) * r + row of the
-    operand, and out[a, :, off:off + size] is the transposed block of
-    segment a extended to the target at off.
+    weights[k] is the k-th distinct pattern weight; pattern q has the weight
+    weights[of[q]] and is the rank[q]-th pattern of it, and the patterns of
+    weight k are order[first[k]:first[k] + count[k]], in increasing order.
     """
-    cg, r = t.matrix, t.matrix.shape[0]
-    cg_q_ir = np.zeros((cg.shape[1] // d, d * r))
-    cg_q_ir.ravel()[cg.indices * r + cg.entry_rows()] = cg.data
-    stack = np.concatenate([block for _, block in members])
-    return (stack @ cg_q_ir).reshape(len(members), -1, r)
+
+    weights: np.ndarray
+    of: np.ndarray
+    rank: np.ndarray
+    order: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One opaque key per row of an integer array, equal for equal rows."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    return a.view(np.dtype((np.void, 8 * a.shape[1]))).reshape(-1)
+
+
+@functools.cache
+def _by_weight(gamma: Staircase) -> _Weights:
+    """_Weights of the GT patterns of gamma; every array is read-only."""
+    pw = pattern_weights(gamma)
+    _, of, count = np.unique(_row_keys(pw), return_inverse=True, return_counts=True)
+    of = of.reshape(-1)
+    order = np.argsort(of, kind="stable")
+    first = np.cumsum(count) - count
+    rank = np.empty(len(of), dtype=np.intp)
+    rank[order] = np.arange(len(of)) - np.repeat(first, count)
+    out = _Weights(pw[order[first]], of, rank, order, first, count)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+class _LegBlocks(NamedTuple):
+    """One coupling t cut into its blocks between weights, for its leg.
+
+    Block u reads the patterns of the source weight weights[u].  AT[u] is
+    the dense transpose of t on the columns (q, i) with q of that weight,
+    for every leg value i, and on the rows of weight weights[u] + sign e_i,
+    sign +1 for a defining coupling and -1 for a dual one: the rows of value
+    i follow those of smaller values, in row order.  A coupling conserves
+    weight, so these are all the rows those columns reach.  Column j of
+    AT[u] is row rows[u][j] of t, reached at the value value[u][j];
+    parts[u] lists (i, target, target weight, lo, hi) for each target with
+    rows of weight weights[u] + sign e_i: they are the columns lo:hi, in
+    pattern order.
+    """
+
+    weights: tuple[tuple[int, ...], ...]
+    AT: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
+    value: tuple[np.ndarray, ...]
+    parts: tuple[tuple[tuple, ...], ...]
+
+
+def _cut(t) -> _LegBlocks:
+    """The _LegBlocks of the coupling t.
+
+    An entry of t that joins two weights no leg value joins raises
+    RuntimeError.
+    """
+    sign, d = (1 if t.kind == "defining" else -1), t.d
+    src = _by_weight(t.input_irrep)
+    targets = [g for g, _, _ in t.output_blocks]
+    tgt = [_by_weight(g) for g in targets]
+    off = [o for _, o, _ in t.output_blocks]
+    # the weights of the targets, numbered one target after another, and
+    # which of them each source weight reaches at each value
+    K = np.cumsum([0] + [len(x.count) for x in tgt])
+    weights = np.concatenate([x.weights for x in tgt])
+    count = np.concatenate([x.count for x in tgt])
+    shifted = src.weights[:, None, :] + sign * np.eye(d, dtype=np.int64)
+    _, key = np.unique(_row_keys(np.concatenate([weights, shifted.reshape(-1, d)])),
+                       return_inverse=True)
+    key = key.reshape(-1)
+    lookup = np.full((key.max() + 1, len(tgt)), -1)
+    lookup[key[:K[-1]], np.repeat(np.arange(len(tgt)), np.diff(K))] = np.arange(K[-1])
+    reached = lookup[key[K[-1]:]].reshape(len(src.count), d, len(tgt))
+    u, i, b = np.nonzero(reached >= 0)  # the parts, in column order
+    k = reached[u, i, b]
+    width = np.bincount(u, count[k], len(src.count)).astype(np.intp)
+    lo = np.zeros(reached.shape, dtype=np.intp)  # where each part starts in its block
+    lo[u, i, b] = np.cumsum(count[k]) - count[k] - (np.cumsum(width) - width)[u]
+
+    # every entry of t into its block
+    sizes = src.count * width
+    base = np.cumsum(sizes) - sizes
+    r = t.matrix.entry_rows()
+    q, iv = np.divmod(t.matrix.indices, d)
+    rb = np.repeat(np.arange(len(tgt)), [len(x.of) for x in tgt])[r]
+    ru = src.of[q]
+    row_k = np.concatenate([x.of + k0 for x, k0 in zip(tgt, K.tolist())])
+    if np.any(row_k[r] != reached[ru, iv, rb]):
+        raise RuntimeError(f"the coupling of {t.input_irrep} joins two weights")
+    row_rank = np.concatenate([x.rank for x in tgt])
+    flat = np.zeros(int(sizes.sum()))
+    flat[base[ru] + src.rank[q] * width[ru] + lo[ru, iv, rb] + row_rank[r]] = t.matrix.data
+
+    # the row and value of every column, block after block
+    order = np.concatenate([x.order + o for x, o in zip(tgt, off)])
+    first = np.concatenate([x.first + o for x, o in zip(tgt, off)])
+    at, j = _runs(first[k], first[k] + count[k])
+    rows, value = order[at], i[j]
+    names = [tuple(w) for w in weights.tolist()]
+    parts = [[] for _ in width]
+    for u_, i_, b_, k_, lo_, c_ in zip(u.tolist(), i.tolist(), b.tolist(), k.tolist(),
+                                       lo[u, i, b].tolist(), count[k].tolist()):
+        parts[u_].append((i_, targets[b_], names[k_], lo_, lo_ + c_))
+    ends = np.cumsum(width).tolist()
+    return _LegBlocks(tuple(map(tuple, src.weights.tolist())),
+                      tuple(flat[a:a + s].reshape(-1, w) for a, s, w in zip(
+                          base.tolist(), sizes.tolist(), width.tolist())),
+                      tuple(rows[e - w:e] for e, w in zip(ends, width.tolist())),
+                      tuple(value[e - w:e] for e, w in zip(ends, width.tolist())),
+                      tuple(map(tuple, parts)))
+
+
+def _leg_states(states: dict, sign: int, d: int):
+    """(states, at) after one more leg, of sign +1 ('+') or -1 ('-').
+
+    states maps each weight of the basis states of the legs so far to their
+    columns, in colex order: by the value of the latest leg first.  So the
+    states of weight w after the leg are those of weight w - sign e_i with
+    the value i appended, one run for each i in increasing order, and
+    at[w, i] is where the run of value i starts.
+    """
+    runs: dict[tuple[int, ...], list] = {}
+    for w, cols in states.items():
+        for i in range(d):
+            w2 = w[:i] + (w[i] + sign,) + w[i + 1:]
+            runs.setdefault(w2, []).append((i, cols * d + i))
+    new, at = {}, {}
+    for w, parts in runs.items():
+        parts.sort(key=lambda part: part[0])
+        new[w] = np.concatenate([cols for _, cols in parts])
+        start = 0
+        for i, cols in parts:
+            at[w, i] = start
+            start += len(cols)
+    return new, at
 
 
 def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
@@ -453,70 +579,88 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
         return SchurTransform(n=n, m=m, d=d, factor_order=order, data=np.ones(1),
                               path_of={(zero, 0): (zero,)})
 
-    # segments: vertex path -> transposed block of W, one column per GT pattern
-    # of the endpoint.  Transposed, the blocks of a leg come out of one GEMM in
-    # place; the blocks of the last leg are never assembled into W.
-    segments: list[tuple[tuple[Staircase, ...], np.ndarray]] = [
-        ((zero,), np.ones((1, 1)))]
-    for kind in order[:-1]:
-        new_segments = []
-        for t, members in _leg_plan(segments, kind):
-            out = _couple(t, members, d)
-            for target, off, sz in t.output_blocks:
-                new_segments += [(path + (target,), out[a, :, off:off + sz])
-                                 for a, (path, _) in enumerate(members)]
-        segments = new_segments
+    # A segment is one path of the tower so far; its block of the partial
+    # transform maps the basis states of the legs so far to the GT patterns
+    # of the path's end, and only its entries inside a weight are kept.
+    # paths[g] lists the paths ending at g, and blocks[g][w] stacks their
+    # blocks from the states of weight w (states[w]) to the patterns of
+    # weight w, transposed: (paths, states, patterns).
+    paths = {zero: [(zero,)]}
+    blocks = {zero: {zero: np.ones((1, 1, 1))}}
+    states = {zero: np.zeros(1, dtype=np.intp)}
+    for leg, kind in enumerate(order, 1):
+        sign = 1 if kind == "+" else -1
+        couplings = {g: cg_transform("defining" if sign > 0 else "dual", g) for g in paths}
+        ends, seg = {}, {}  # seg[g, target]: where g's paths start among the target's
+        for g, t in couplings.items():
+            for target, _, _ in t.output_blocks:
+                found = ends.setdefault(target, [])
+                seg[g, target] = len(found)
+                found += [path + (target,) for path in paths[g]]
+        last = leg == len(order)
+        if last:
+            path_of, data, col_rank, row_start = _last_leg(n, m, d, order, ends, seg)
+        else:
+            new_states, at = _leg_states(states, sign, d)
+            new_blocks = {}
+            for target, found in ends.items():
+                x = _by_weight(target)
+                new_blocks[target] = {w: np.zeros((len(found), len(new_states[w]), c)) for w, c in
+                                      zip(map(tuple, x.weights.tolist()), x.count.tolist())}
+        # one GEMM per (staircase, weight), over all of its paths at once
+        for g, t in couplings.items():
+            cut = _cut(t)
+            if last:
+                starts = row_start(g, t, len(paths[g]))
+            for w, AT, rows, value, parts in zip(*cut):
+                S = blocks[g][w]
+                s, c = S.shape[:2]
+                G = (S.reshape(s * c, -1) @ AT).reshape(s, c, -1)
+                if last:  # straight into the sector data
+                    data[starts[:, None, rows] + col_rank[states[w][:, None] * d + value]] = G
+                    continue
+                for i, target, w2, lo, hi in parts:  # into the target's run of value i
+                    a, b = seg[g, target], at[w2, i]
+                    new_blocks[target][w2][a:a + s, b:b + c] = G[:, :, lo:hi]
+            del blocks[g]  # before the next staircase, so about one level and a half are held
+        if not last:
+            paths, blocks, states = ends, new_blocks, new_states
+    return SchurTransform(n=n, m=m, d=d, factor_order=order, data=data, path_of=path_of)
 
-    # sorted, the last leg's paths are the (gamma, p) label blocks, p in path order
-    plan = _leg_plan(segments, order[-1])
-    del segments
-    paths = sorted((path + (target,) for t, members in plan
-                    for target, _, _ in t.output_blocks for path, _ in members),
-                   key=lambda path: (path[-1], path))
-    slots = [(g, p, start + p * dg) for g, start, dg, mg in row_layout(n, m, d) for p in range(mg)]
-    if [g for g, _, _ in slots] != [path[-1] for path in paths]:
+
+def _last_leg(n, m, d, order, ends, seg):
+    """(path_of, data, col_rank, row_start) for the last leg of build_mixed_schur.
+
+    The paths ending at each gamma, sorted, are its label blocks (gamma, p),
+    as path_of records.  data is the zeroed sector data, col_rank the place
+    of each column among its sector's columns, and row_start(g, t, s)[a, r]
+    is where in data the row of W starts that row r of the coupling t
+    reaches from the a-th of the s paths ending at g.
+    """
+    layout = row_layout(n, m, d)
+    if [(g, mg) for g, _, _, mg in layout] != [(g, len(ends[g])) for g in sorted(ends)]:
         raise RuntimeError(f"cascade segments do not follow row_layout{(n, m, d)}")
-    path_of = {(g, p): path for (g, p, _), path in zip(slots, paths)}
-    first_row = {path: row for (_, _, row), path in zip(slots, paths)}
+    path_of, first_row = {}, {}  # first_row[gamma][a]: the row (gamma, 0, p) of its a-th path
+    block = {g: (start, dg) for g, start, dg, _ in layout}
+    for g, found in ends.items():
+        rank = sorted(range(len(found)), key=found.__getitem__)
+        path_of.update(((g, p), found[a]) for p, a in enumerate(rank))
+        start, dg = block[g]
+        first_row[g] = np.empty(len(found), dtype=np.intp)
+        first_row[g][rank] = start + dg * np.arange(len(found))
 
-    # the last leg's GEMM output goes straight into the sector data: every
-    # (segment a, coupling row c) is one row of W, out[a, cols, c], and the
-    # rows of one source staircase are read with one gather.  The cascade
-    # conserves weight, so what the gather leaves is zero; a nonzero there
-    # is kept as W.off, where the checks see it.
     index = _sector_layout(n, m, d, order)[1]
-    data = np.empty(index.bounds[-1])
-    size = d ** (n + m)
-    leaks = []
-    for t, members in plan:
-        out = _couple(t, members, d).reshape(-1)
-        s, r = len(members), t.matrix.shape[0]
-        w_row = np.empty((s, r), dtype=np.intp)
-        for target, off, sz in t.output_blocks:
-            for a, (path, _) in enumerate(members):
-                w_row[a, off:off + sz] = first_row[path + (target,)] + np.arange(sz)
-        at, src, j = _row_runs(index, w_row.ravel())
-        a, c = np.divmod(np.arange(s * r), r)
-        src *= r  # column -> flat index of out[a, column, c], in place
-        src += (a * size * r + c)[j]
-        del j
-        inside = out[src]
-        data[at] = inside
-        # entries with a set bit, counted on the integer view, which is faster;
-        # a -0.0 left behind is dropped, since np.flatnonzero skips it
-        if np.count_nonzero(out.view(np.uint64)) != np.count_nonzero(inside.view(np.uint64)):
-            rest = out.copy()
-            rest[src] = 0
-            f = np.flatnonzero(rest)
-            a, k = np.divmod(f, size * r)  # k = column * r + c
-            leaks.append((w_row[a, k % r], k // r, rest[f]))
-        del out, inside  # before the next GEMM, so one output is held at a time
-    off = None
-    if leaks:
-        rows, cols, values = (np.concatenate(x) for x in zip(*leaks))
-        off = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(size, size))
-    return SchurTransform(n=n, m=m, d=d, factor_order=order, data=data, path_of=path_of,
-                          off=off)
+    widths = np.array([len(c) for c in index.cols])
+    col_rank = np.empty(d ** (n + m), dtype=np.intp)
+    col_rank[index.col_order] = np.arange(len(col_rank)) - np.repeat(
+        np.cumsum(widths) - widths, widths)
+
+    def row_start(g, t, s):
+        rows = [first_row[target][seg[g, target]:seg[g, target] + s, None] + np.arange(size)
+                for target, _, size in t.output_blocks]
+        return index.row_start[np.concatenate(rows, axis=1)]
+
+    return path_of, np.zeros(index.bounds[-1]), col_rank, row_start
 
 
 # -- applying mixed tensor operators ------------------------------------------
@@ -546,6 +690,7 @@ def apply_legs(X: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     made and X is not modified.
     """
     Y = np.array(X, dtype=complex, order="C")
+    del X  # a temporary the caller passed is freed here
     buf = np.empty_like(Y)
     lead = 1
     for g in _factor_groups(factors):
@@ -568,51 +713,50 @@ class BlockDiagReport:
     blocks: dict[Staircase, np.ndarray]
 
 
-def _fit_block(B: np.ndarray, dg: int, mg: int, extract: str):
-    """(X, fit) for one diagonal label block B of M = W A W^dagger.
-
-    With extract="irrep" the block is fitted as Id_mult (x) X over (path, GT)
-    indices, X the average of its diagonal path blocks; with extract="mult"
-    as X (x) Id_dim, X the partial trace over GT indices divided by dim.
-    fit is that block form, of the shape of B.
-    """
-    cube = B.reshape(mg, dg, mg, dg)
-    if extract == "irrep":
-        X = np.einsum("pqpr->qr", cube) / mg
-        fit = np.einsum("pr,qs->pqrs", np.eye(mg), X)
-    else:
-        X = np.einsum("pqrq->pr", cube) / dg
-        fit = np.einsum("pr,qs->pqrs", X, np.eye(dg))
-    return X, fit.reshape(dg * mg, dg * mg)
-
-
 def _structured_residuals(W: SchurTransform, columns, extract: str) -> BlockDiagReport:
     """Exact max-entry residuals of M = W A W^dagger against its block form.
 
     columns(cols) returns the columns M[:, cols] for a slice cols.  The
     columns of each label block sl are requested in chunks of at most
-    max(1, _COLUMN_ENTRIES // D) columns, so only one chunk of M is held at
-    a time, next to the copy of M[sl, sl] that the chunks fill.  The block
-    form is fitted on M[sl, sl] as in _fit_block; the structure residual is
-    the largest entry of M[sl, sl] minus its fit, and the off-block residual
-    the largest entry of M[:, sl] outside rows sl, both maximized over the
-    label blocks.  The caller's chunks are not modified.
+    max(1, _COLUMN_ENTRIES // D) columns, and each chunk is let go before
+    the next is requested, so one chunk of M is held at a time, next to the
+    copy B of M[sl, sl] that the chunks fill.  The block form is fitted on
+    B: with extract="irrep" as Id_mult (x) X over (path, GT) indices, X the
+    average of the diagonal path blocks; with extract="mult" as X (x) Id_dim,
+    X the partial trace over GT indices divided by dim.  The fit is
+    subtracted from B in place, where it is nonzero, and the structure
+    residual is the largest entry left, read in chunks of at most
+    _COLUMN_ENTRIES entries.  The off-block residual is the largest entry of
+    M[:, sl] outside rows sl.  Both are maximized over the label blocks.
+    The caller's chunks are not modified.
     """
     step = max(1, _COLUMN_ENTRIES // W.size)
     blocks: dict[Staircase, np.ndarray] = {}
     off_res = struct_res = 0.0
     for g, start, dg, mg in W.layout:
-        stop = start + dg * mg
+        w = dg * mg
         B = None
-        for a in range(start, stop, step):
-            C = columns(slice(a, min(a + step, stop)))
+        for a in range(0, w, step):
+            C = columns(slice(start + a, start + min(a + step, w)))
             if B is None:
-                B = np.empty((stop - start,) * 2, dtype=C.dtype)
-            B[:, a - start:a - start + step] = C[start:stop]
-            for rest in (C[:start], C[stop:]):
-                off_res = np.maximum(off_res, np.abs(rest).max(initial=0.0))
-        blocks[g], fit = _fit_block(B, dg, mg, extract)
-        struct_res = np.maximum(struct_res, np.abs(B - fit).max())
+                B = np.empty((w, w), dtype=C.dtype)
+            B[:, a:a + step] = C[start:start + w]
+            off_res = np.maximum(off_res, np.abs(C[:start]).max(initial=0.0))
+            off_res = np.maximum(off_res, np.abs(C[start + w:]).max(initial=0.0))
+            del C  # before the next chunk is formed
+        cube = B.reshape(mg, dg, mg, dg)
+        if extract == "irrep":
+            fit = np.einsum("pqpr->pqr", cube)  # a view: the diagonal path blocks
+            blocks[g] = X = fit.sum(axis=0) / mg
+        else:
+            fit = np.einsum("pqrq->prq", cube)  # a view: the GT diagonal of each path pair
+            blocks[g] = X = fit.sum(axis=2) / dg
+            X = X[:, :, None]
+        fit -= X
+        rows = max(1, _COLUMN_ENTRIES // w)
+        for a in range(0, w, rows):
+            struct_res = np.maximum(struct_res, np.abs(B[a:a + rows]).max())
+        del B, cube, fit  # before the next label block's copy
     return BlockDiagReport(float(off_res), float(struct_res), blocks)
 
 

@@ -9,12 +9,15 @@ verify works inside the weight sectors alone.
 """
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from mskit import brauer, schur
+from mskit import brauer, cg, schur
+from mskit.gelfand import pattern_weights
 from mskit import io as mio
 from mskit.channels import choi_to_schur, random_cptp_choi, twirl
 from mskit.cli import main
@@ -192,6 +195,34 @@ def test_the_haar_side_reads_bounded_column_chunks(monkeypatch):
     assert sum(widths) == W.size  # every column once
 
 
+def traced_peak(run):
+    """(result, the bytes run allocated at its peak above what was held before)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_build_holds_little_more_than_its_sector_data():
+    build_mixed_schur(5, 5, 2)  # the couplings, memoized, are not the build's
+    W, peak = traced_peak(lambda: build_mixed_schur(5, 5, 2))
+    assert peak <= 2 * W.data.nbytes + 4 * 2 ** 20, (peak, W.data.nbytes)
+
+
+def test_the_haar_side_holds_one_label_block_and_a_few_chunks(monkeypatch):
+    W = build_mixed_schur(5, 5, 2)
+    U = haar_unitary(2, rng_from_seed(78))
+    # 64 columns a chunk, so the widest label blocks (375 columns) span several
+    monkeypatch.setattr(schur, "_COLUMN_ENTRIES", 64 * W.size)
+    rep, peak = traced_peak(lambda: verify_blockdiag(W, U))
+    assert max(rep.off_block_residual, rep.structure_residual) < 1e-13
+    widest = max(dg * mg for _, _, dg, mg in W.layout)
+    assert peak <= 16 * (widest ** 2 + 4 * schur._COLUMN_ENTRIES), peak
+
+
 def test_a_diagram_operator_that_joins_two_weights_is_refused(monkeypatch, capsys):
     represent = brauer.represent
 
@@ -210,23 +241,62 @@ def test_a_diagram_operator_that_joins_two_weights_is_refused(monkeypatch, capsy
     assert len(err) == 1 and err[0].startswith("error: ") and "joins two weights" in err[0]
 
 
-def test_a_cascade_that_leaks_out_of_its_sectors_fails_verify(monkeypatch, capsys):
-    # the last leg's GEMM output gains 1e-6 everywhere, outside the sectors too
-    W = build_mixed_schur(2, 2, 2)
-    couple = schur._couple
+def test_a_coupling_that_joins_two_weights_is_refused(monkeypatch, capsys):
+    # the first stored entry of the coupling of (1, 0) moves to a row of
+    # another weight, so the cascade can no longer run inside the sectors
+    coupling = schur.cg_transform
 
-    def leaky(t, members, d):
-        out = couple(t, members, d)
-        return out + 1e-6 if out.shape[1] == W.size else out
+    def joining(kind, gamma, *args):
+        t = coupling(kind, gamma, *args)
+        if (kind, gamma) != ("defining", (1, 0)):
+            return t
+        row_weights = np.concatenate([pattern_weights(g) for g, _, _ in t.output_blocks])
+        A = t.matrix.toarray()
+        r, c = np.argwhere(A)[0]
+        r2 = np.flatnonzero(np.any(row_weights != row_weights[r], axis=1))[0]
+        A[r2, c], A[r, c] = A[r, c], 0.0
+        return dataclasses.replace(t, matrix=cg.CouplingMatrix(A))
 
-    monkeypatch.setattr(schur, "_couple", leaky)
-    V = build_mixed_schur(2, 2, 2)
-    assert V.off is not None
-    assert np.abs(V.matrix - W.matrix - 1e-6).max() < 1e-15
-    assert weight_check(V) > 1e-6
+    monkeypatch.setattr(schur, "cg_transform", joining)
+    with pytest.raises(RuntimeError, match="joins two weights"):
+        build_mixed_schur(2, 2, 2)
+    capsys.readouterr()
     assert main(["verify", "2", "2", "2", "--trials", "1"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert next(line for line in lines if line.startswith("diagonal weights")).endswith("FAIL")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "joins two weights" in err[0]
+
+
+def test_a_cascade_wrong_inside_its_sectors_fails_verify(monkeypatch, capsys):
+    # the first block of a coupling that has the shape of another block of
+    # it gathers that block's entries, those of the wrong source weight: every
+    # product stays inside the sectors, so the weight check passes and the
+    # Haar checks must fail
+    W = build_mixed_schur(2, 2, 2)
+    cut_, swapped = schur._cut, []
+
+    def swapping(t):
+        cut = cut_(t)
+        if swapped:
+            return cut
+        for u, v in itertools.combinations(range(len(cut.AT)), 2):
+            if cut.AT[u].shape == cut.AT[v].shape and not np.array_equal(cut.AT[u], cut.AT[v]):
+                AT = list(cut.AT)
+                AT[u], AT[v] = AT[v], AT[u]
+                swapped.append((t.input_irrep, cut.weights[u], cut.weights[v]))
+                return cut._replace(AT=AT)
+        return cut
+
+    monkeypatch.setattr(schur, "_cut", swapping)
+    V = build_mixed_schur(2, 2, 2)
+    assert swapped == [((1, 0), (0, 1), (1, 0))]
+    assert V.off is None and weight_check(V) == 0.0
+    assert np.abs(V.data - W.data).max() > 0.1
+    swapped.clear()
+    assert main(["verify", "2", "2", "2", "--trials", "1"]) == 1
+    lines = dict(line.rsplit(": ", 1) for line in capsys.readouterr().out.splitlines())
+    for haar in ("block off-diagonal", "multiplicity structure"):
+        assert lines[haar].endswith("FAIL"), lines
+    assert lines["diagonal weights"].endswith("ok")
 
 
 def test_weight_check_keeps_a_nan_outside_the_sectors():
