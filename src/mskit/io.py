@@ -7,6 +7,13 @@ identical files.  A zero entry is the literal "0.0,0.0"; -0.0 keeps its sign
 ("-0.0,0.0").  The writer formats, and the reader parses, only the other
 entries, so either costs one scan of the tokens plus the nonzero entries.
 
+The readers take a file one line at a time and parse its rows in chunks of
+about _CHUNK_ENTRIES entries through one row parser, _entries.  read_choi
+and read_matrix fill a dense matrix from it; read_schur hands the entries
+straight to SchurTransform.from_entries, which puts each one into the
+weight sectors, so reading a transform holds neither the file's text nor a
+dense D x D matrix.
+
 Schur transform:   mskit-matrix 1 <n> <m> <d>
                    <factor order as +/- string>
                    one label line per row: gamma=<staircase> q=<idx> p=<idx>
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import io as _io
 import itertools
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -33,6 +40,7 @@ from .staircase import dim, format_staircase, parse_staircase
 MAGIC = "mskit-matrix"
 VERSION = "1"
 ZERO = "0.0,0.0"  # the spelling of a +0.0 + 0.0j entry
+_CHUNK_ENTRIES = 1 << 12  # the entries other than ZERO a reader holds as text at a time
 
 
 def _write_rows(f: TextIO, matrix: np.ndarray) -> None:
@@ -49,43 +57,77 @@ def _write_rows(f: TextIO, matrix: np.ndarray) -> None:
         f.write("\n")
 
 
-def _read_rows(lines: list[str], dim_rows: int, dim_cols: int) -> np.ndarray:
-    if len(lines) != dim_rows:
-        raise ValueError(f"expected {dim_rows} matrix rows, found {len(lines)}")
-    # ZERO tokens stay 0.0 in the zeroed result; a row's other entries are
-    # parsed in one pass, re and im side by side as in a complex array
-    matrix = np.zeros((dim_rows, dim_cols), dtype=complex)
+def _lines(f: TextIO) -> Iterator[str]:
+    """The lines of f one at a time, without their line ends.  readline, not
+    iteration, so that f.tell() still works afterwards."""
+    return (line.rstrip("\r\n") for line in iter(f.readline, ""))
+
+
+def _entries(lines: Iterator[str], dim_rows: int,
+             dim_cols: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(r, c, v) of the next dim_rows matrix rows of lines, a chunk of rows at a time.
+
+    Row r[s] has the complex entry v[s] in column c[s], in row-major order;
+    a ZERO token gives no entry, so every entry left out is +0.0 + 0.0j.  A
+    chunk ends with the row that brings its entries to _CHUNK_ENTRIES, and
+    they are parsed in one pass.  The first malformed row, in row order, is
+    named.
+    """
     commas = itertools.repeat(",")
-    for r, line in enumerate(lines):
-        parts = line.split()
-        if len(parts) != dim_cols:
-            raise ValueError(f"row {r}: expected {dim_cols} entries, found {len(parts)}")
-        cols = slice(None)  # a row with no ZERO token is parsed whole
-        if ZERO in parts:
-            cols = [k for k, p in enumerate(parts) if p != ZERO]
-            parts = [parts[k] for k in cols]
-            if not parts:
-                continue
+    counts, cols, parts, first = [], [], [], 0  # the rows first, first + 1, ... of this chunk
+
+    def parse():
+        r = np.repeat(np.arange(first, first + len(counts)), counts)
+        c = np.array(cols, dtype=np.intp)
+        if not parts:
+            return r, c, np.empty(0, dtype=complex)
         try:
             if set(map(str.count, parts, commas)) != {1}:
                 raise ValueError
             pairs = np.fromiter(map(float, ",".join(parts).split(",")), float, 2 * len(parts))
         except ValueError:
-            for p in parts:  # the first entry that is not a re,im pair of floats
+            for s, p in enumerate(parts):  # the first entry that is not a re,im pair of floats
                 try:
                     re_s, im_s = p.split(",")
                     float(re_s), float(im_s)
                 except ValueError:
-                    raise ValueError(f"row {r}: entry {p!r} is not a re,im pair "
+                    raise ValueError(f"row {r[s]}: entry {p!r} is not a re,im pair "
                                      "of floats") from None
             raise
-        matrix[r, cols] = pairs.view(complex)
+        return r, c, pairs.view(complex)
+
+    found = 0
+    for found, line in enumerate(itertools.islice(lines, dim_rows), 1):
+        tokens = line.split()
+        if len(tokens) != dim_cols:
+            parse()  # a bad entry in an earlier row is named first
+            raise ValueError(f"row {found - 1}: expected {dim_cols} entries, found {len(tokens)}")
+        keep = [k for k, p in enumerate(tokens) if p != ZERO]
+        counts.append(len(keep))
+        cols += keep
+        parts += map(tokens.__getitem__, keep)
+        if len(parts) >= _CHUNK_ENTRIES:
+            yield parse()
+            counts, cols, parts, first = [], [], [], found
+    if counts:
+        yield parse()
+    if found != dim_rows:
+        raise ValueError(f"expected {dim_rows} matrix rows, found {found}")
+
+
+def _read_dense(lines: Iterator[str], dim_rows: int, dim_cols: int) -> np.ndarray:
+    """The dense complex matrix of the rest of lines, which must be exactly its rows."""
+    matrix = np.zeros((dim_rows, dim_cols), dtype=complex)
+    for r, c, v in _entries(lines, dim_rows, dim_cols):
+        matrix[r, c] = v
+    extra = sum(1 for _ in lines)
+    if extra:
+        raise ValueError(f"expected {dim_rows} matrix rows, found {dim_rows + extra}")
     return matrix
 
 
-def _header_sizes(lines: list[str], kind: str, count: int) -> list[int]:
+def _header_sizes(header: str, kind: str, count: int) -> list[int]:
     """The integer fields of a "mskit-matrix 1 <kind> ..." header line."""
-    header = lines[0] if lines else ""
     head = header.split()
     if head[:3] != [MAGIC, VERSION, kind] or len(head) != 3 + count:
         raise ValueError(f"bad header: {header!r}")
@@ -110,10 +152,11 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     The labels must be distinct, with staircases of length d, 0 <= q <
     dim(gamma) and p >= 0, and must equal row_labels(n, m, d), the labels of
     every transform of that shape.  A size d^(n+m) over cap raises
-    CapExceeded before any matrix is allocated.
+    CapExceeded before any matrix is allocated.  The rows go straight into
+    the weight sectors; lines after them are not read.
     """
-    lines = f.read().splitlines()
-    header = lines[0] if lines else ""
+    lines = _lines(f)
+    header = next(lines, "")
     head = header.split()
     if head[:2] != [MAGIC, VERSION] or len(head) != 5:
         raise ValueError(f"bad header: {header!r}")
@@ -122,10 +165,11 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
         raise ValueError(f"bad header: {header!r} needs n, m >= 0 and d >= 1")
     check_cap(d, n + m, cap)
     size = d ** (n + m)
-    if len(lines) < 2:
+    order = next(lines, None)
+    if order is None:
         raise ValueError("missing factor order line")
-    order = parse_factor_order(lines[1].strip(), n, m)
-    label_lines = lines[2:2 + size]
+    order = parse_factor_order(order.strip(), n, m)
+    label_lines = list(itertools.islice(lines, size))
     if len(label_lines) != size:
         raise ValueError(f"expected {size} label lines, found {len(label_lines)}")
     basis = [_parse_label(line, d) for line in label_lines]
@@ -133,11 +177,7 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
         raise ValueError("duplicate row labels")
     if basis != row_labels(n, m, d):
         raise ValueError(f"row labels must list the (gamma, p) blocks of {(n, m, d)}, q fastest")
-    matrix = _read_rows(lines[2 + size:2 + 2 * size], size, size)
-    del lines, label_lines  # the text, before the matrix is split
-    if not matrix.imag.view(np.uint64).any():  # every imaginary part is +0.0
-        matrix = np.ascontiguousarray(matrix.real)
-    return SchurTransform.from_matrix(n, m, d, order, matrix)
+    return SchurTransform.from_entries(n, m, d, order, _entries(lines, size, size))
 
 
 def _parse_label(line: str, d: int) -> tuple[tuple[int, ...], int, int]:
@@ -167,13 +207,14 @@ def read_choi(f: TextIO, cap: int = DEFAULT_CAP) -> ChoiMatrix:
     The header needs integers m, n >= 0 and d >= 1; a size d^(m+n) over cap
     raises CapExceeded before any matrix is allocated.
     """
-    lines = f.read().splitlines()
-    m, n, d = _header_sizes(lines, "choi", 3)
+    lines = _lines(f)
+    header = next(lines, "")
+    m, n, d = _header_sizes(header, "choi", 3)
     if m < 0 or n < 0 or d < 1:
-        raise ValueError(f"bad header: {lines[0]!r} needs m, n >= 0 and d >= 1")
+        raise ValueError(f"bad header: {header!r} needs m, n >= 0 and d >= 1")
     check_cap(d, m + n, cap)
     size = d ** (m + n)
-    return ChoiMatrix(n_out=n, m_in=m, d=d, matrix=_read_rows(lines[1:], size, size))
+    return ChoiMatrix(n_out=n, m_in=m, d=d, matrix=_read_dense(lines, size, size))
 
 
 def write_matrix(f: TextIO, matrix: np.ndarray) -> None:
@@ -188,13 +229,14 @@ def read_matrix(f: TextIO, cap: int = DEFAULT_CAP) -> np.ndarray:
     The header needs an integer dim >= 1; dim over cap raises CapExceeded
     before any matrix is allocated.
     """
-    lines = f.read().splitlines()
-    (dim,) = _header_sizes(lines, "matrix", 1)
+    lines = _lines(f)
+    header = next(lines, "")
+    (dim,) = _header_sizes(header, "matrix", 1)
     if dim < 1:
-        raise ValueError(f"bad header: {lines[0]!r} needs dim >= 1")
+        raise ValueError(f"bad header: {header!r} needs dim >= 1")
     if dim > cap:
         raise CapExceeded(f"matrix dimension {dim} exceeds cap {cap}")
-    return _read_rows(lines[1:], dim, dim)
+    return _read_dense(lines, dim, dim)
 
 
 def dumps(writer, obj) -> str:

@@ -31,8 +31,13 @@ inside each sector and adds a Cauchy-Schwarz bound for the entries between
 sectors.
 
 A SchurTransform is an immutable value: every array it holds is read-only,
-and the arrays it is given are taken over.  A transform with another matrix is a new value, made with
-SchurTransform.from_matrix, which splits the matrix into its sectors once.
+and the arrays it is given are taken over.  A transform with another matrix
+is a new value, made from its entries by SchurTransform.from_entries, the
+one splitter of rows into sectors: each chunk of rows goes straight into the
+sector data, the nonzero entries outside every sector into W.off, and the
+signed zeros there into a small table, so no dense W is held.  io.read_schur
+feeds it the rows of a file as they are parsed, and from_matrix the rows of
+a dense matrix, a chunk at a time.
 
 Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
@@ -70,7 +75,9 @@ class _SectorIndex(NamedTuple):
     rows[k] and cols[k] are the rows and columns of sector k in increasing
     order, and block k is data[bounds[k]:bounds[k + 1]] in C order.  The
     entries of row a there are data[row_start[a]:row_start[a] + row_count[a]],
-    in the columns col_order[row_first[a]:row_first[a] + row_count[a]].
+    in the columns col_order[row_first[a]:row_first[a] + row_count[a]];
+    col_rank[c] is the place of column c among its sector's columns, so
+    W[a, c] is data[row_start[a] + col_rank[c]] when a and c share a sector.
     """
 
     rows: tuple[np.ndarray, ...]
@@ -80,6 +87,7 @@ class _SectorIndex(NamedTuple):
     row_start: np.ndarray
     row_count: np.ndarray
     row_first: np.ndarray
+    col_rank: np.ndarray
 
 
 class _DiagramIndex(NamedTuple):
@@ -125,9 +133,10 @@ class SchurTransform:
     rows and columns in increasing order, and blocks[k] is the dense block
     W[rows[k], cols[k]], a view of data, which holds the blocks one after
     another.  off is the sparse part of W outside every sector, None when
-    that part is zero.  build_mixed_schur gives data; from_matrix splits a
-    dense W.  The arrays given are taken over and made read-only, data
-    copied when it is a view of another array, so no caller can change W.
+    that part is zero.  build_mixed_schur gives data; from_entries splits
+    the entries of W as they come, and from_matrix a dense W.  The arrays
+    given are taken over and made read-only, data copied when it is a view
+    of another array, so no caller can change W.
     Transforms compare and hash by identity.
     """
 
@@ -141,7 +150,7 @@ class SchurTransform:
         default=None, repr=False)
     off: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
     # (indptr, keys) of the zeros outside every sector that carry a sign bit,
-    # key = column * 4 + sign code; see from_matrix
+    # key = column * 4 + sign code; see from_entries
     _zeros: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     sectors: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
     rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -177,36 +186,64 @@ class SchurTransform:
                     path_of=None) -> SchurTransform:
         """The transform of a dense W, split into its sectors once.
 
-        The nonzero entries outside every sector become off.  The zeros there
-        that carry a sign bit (-0.0 in either part, as a row phase leaves
-        them) take part in no product but are kept, a small integer each,
-        so that W.matrix and W.take_rows give the matrix back bit for bit.
+        The rows go through from_entries, a chunk of at most _COLUMN_ENTRIES
+        entries at a time, and W keeps the matrix's float or complex dtype.
         """
         matrix = np.asarray(matrix)
-        matrix = matrix.astype(np.result_type(matrix, float), copy=False)
+        dtype = np.result_type(matrix, float)
         size = d ** (n + m)
         if matrix.shape != (size, size):
             raise ValueError(f"a {matrix.shape} matrix does not fit {(n, m, d)}")
+
+        def entries(step=max(1, _COLUMN_ENTRIES // size)):
+            for a in range(0, size, step):
+                M = np.ascontiguousarray(matrix[a:a + step], dtype=dtype)
+                r, c = np.nonzero(M.view(np.uint64).reshape(len(M), size, -1).any(axis=2))
+                yield r + a, c, M[r, c]
+
+        return cls.from_entries(n, m, d, factor_order, entries(), dtype, path_of)
+
+    @classmethod
+    def from_entries(cls, n: int, m: int, d: int, factor_order: str, entries,
+                     dtype=None, path_of=None) -> SchurTransform:
+        """The transform whose entries come in chunks, split into the sectors as they come.
+
+        entries yields (r, c, v), W[r[s], c[s]] = v[s], in row-major order;
+        every entry it leaves out is +0.0.  An entry inside its row's sector
+        goes into data, a nonzero one outside every sector into off.  The
+        zeros there that carry a sign bit (-0.0 in either part, as a row
+        phase leaves them) take part in no product but are kept, a small
+        integer each, so that W.matrix and W.take_rows give every entry back
+        bit for bit.  W has the given dtype; with None it is complex, or real
+        when no imaginary part of any entry has a set bit.  Besides data,
+        off and the signed zeros, one chunk is held at a time, never a dense W.
+        """
+        size = d ** (n + m)
         (_, row_sector, col_sector), index = _sector_layout(n, m, d, factor_order)
-        data = np.concatenate([matrix[np.ix_(r, c)].ravel()
-                               for r, c in zip(index.rows, index.cols)])
-        # the entries outside the sectors, 256 rows at a time
-        off, counts, keys = [], [], []
-        for a in range(0, size, 256):
-            M = matrix[a:a + 256]
-            outside = row_sector[a:a + 256, None] != col_sector
-            r, c = np.nonzero(outside & (M != 0))
-            off.append((r + a, c, M[r, c]))
-            code = np.signbit(M.real) + np.signbit(M.imag) * np.uint8(2)
-            r, c = np.nonzero(outside & (M == 0) & (code > 0))
-            counts.append(np.bincount(r, minlength=len(M)))
-            keys.append((c * 4 + code[r, c]).astype(np.min_scalar_type(4 * size)))
+        data = np.zeros(index.bounds[-1], dtype=dtype or complex)
+        key_type = np.min_scalar_type(4 * size)
+        none = np.empty(0, dtype=np.intp)
+        off, keys = [(none, none, data[:0])], [none.astype(key_type)]
+        per_row = np.zeros(size, dtype=np.intp)  # the signed zeros of each row
+        for r, c, v in entries:
+            inside = row_sector[r] == col_sector[c]
+            data[index.row_start[r[inside]] + index.col_rank[c[inside]]] = v[inside]
+            r, c, v = r[~inside], c[~inside], v[~inside]
+            nonzero = v != 0
+            off.append((r[nonzero], c[nonzero], v[nonzero]))
+            code = np.signbit(v.real) + np.signbit(v.imag) * np.uint8(2)
+            signed = ~nonzero & (code > 0)
+            per_row += np.bincount(r[signed], minlength=size)
+            keys.append((c[signed] * 4 + code[signed]).astype(key_type))
         r, c, v = (np.concatenate(a) for a in zip(*off))
-        off = scipy.sparse.csr_matrix((v, (r, c)), shape=matrix.shape)
+        keys = np.concatenate(keys)
+        if dtype is None and not (data.imag.view(np.uint64).any()
+                                  or v.imag.view(np.uint64).any() or (keys & 2).any()):
+            data, v = data.real.copy(), v.real
+        off = scipy.sparse.csr_matrix((v, (r, c)), shape=(size, size))
         zeros = None
-        if sum(len(k) for k in keys):
-            indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-            zeros = (indptr, np.concatenate(keys))
+        if len(keys):
+            zeros = (np.concatenate([[0], np.cumsum(per_row)]), keys)
             for z in zeros:
                 z.setflags(write=False)
         return cls(n, m, d, factor_order, data, path_of, off, zeros)
@@ -256,9 +293,6 @@ class SchurTransform:
         start[order] = np.cumsum(size[order] ** 2) - size[order] ** 2
         first[order] = np.cumsum(size[order]) - size[order]
         rows = np.concatenate([index.rows[k] for k in order])
-        col_rank = np.empty(self.size, dtype=np.intp)
-        for c in index.cols:
-            col_rank[c] = np.arange(len(c))
         groups = []
         for r in np.unique(size[size > 0]).tolist():
             ks = order[size[order] == r]
@@ -282,7 +316,7 @@ class SchurTransform:
         fit_to = np.where(q[a] == q[b], x_start[label_block[a]] + p[a] * mults[label_block[a]]
                           + p[b], len(scale) - 1)
         x_blocks = tuple((g, int(x), mg) for (g, _, _, mg), x in zip(self.layout, x_start))
-        tables = _DiagramIndex(tuple(groups), size, start, col_rank, np.flatnonzero(~same),
+        tables = _DiagramIndex(tuple(groups), size, start, index.col_rank, np.flatnonzero(~same),
                                fit_at, fit_to, scale, x_blocks)
         for t in tables:
             if isinstance(t, np.ndarray):
@@ -363,10 +397,16 @@ class SchurTransform:
         a correct W, E is exactly zero and the result is the true max entry.
         """
         exact = b_max = e_max = 0.0
-        for rows, B in zip(self.rows, self.blocks):
-            if len(rows):
-                exact = np.maximum(exact, np.abs(B @ B.conj().T - np.eye(len(rows))).max())
-                b_max = np.maximum(b_max, np.linalg.norm(B, axis=1).max())
+        for B in self.blocks:
+            # B B^dagger - I is Hermitian, so its upper triangle holds its largest
+            # entry (and any NaN, on the diagonal); a chunk of rows at a time,
+            # each at most _COLUMN_ENTRIES entries
+            Bh, step = B.conj().T, max(1, _COLUMN_ENTRIES // max(1, len(B)))
+            for a in range(0, len(B), step):
+                G = B[a:a + step] @ Bh[:, a:]
+                G[np.arange(len(G)), np.arange(len(G))] -= 1
+                exact = np.maximum(exact, np.abs(G).max())
+                b_max = np.maximum(b_max, np.linalg.norm(B[a:a + step], axis=1).max())
         if self.off is not None:
             e_max = np.sqrt(abs(self.off).power(2).sum(axis=1).max())
         return float(exact + 2 * b_max * e_max + e_max ** 2)
@@ -383,18 +423,18 @@ def _sector_layout(n: int, m: int, d: int,
         order.setflags(write=False)
         counts = np.bincount(s, minlength=len(weights))
         firsts = np.cumsum(counts) - counts
-        return order, counts, firsts, tuple(
+        rank = np.empty(len(s), dtype=np.intp)  # position of each index in its sector
+        rank[order] = np.arange(len(s)) - np.repeat(firsts, counts)
+        return order, counts, firsts, rank, tuple(
             order[a:a + c] for a, c in zip(firsts.tolist(), counts.tolist()))
 
-    row_order, n_rows, row_firsts, rows = by_sector(row_sector)
-    col_order, n_cols, col_firsts, cols = by_sector(col_sector)
+    _, n_rows, _, row_rank, rows = by_sector(row_sector)
+    col_order, n_cols, col_firsts, col_rank, cols = by_sector(col_sector)
     bounds = np.concatenate([[0], np.cumsum(n_rows * n_cols)])
-    rank = np.empty(len(row_sector), dtype=np.intp)  # position of each row in its sector
-    rank[row_order] = np.arange(len(row_sector)) - np.repeat(row_firsts, n_rows)
     row_count = n_cols[row_sector]
     index = _SectorIndex(rows, cols, bounds, col_order,
-                         bounds[row_sector] + rank * row_count, row_count,
-                         col_firsts[row_sector])
+                         bounds[row_sector] + row_rank * row_count, row_count,
+                         col_firsts[row_sector], col_rank)
     for a in index[2:]:
         a.setflags(write=False)
     return sectors, index

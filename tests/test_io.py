@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from mskit.bratteli import CapExceeded
 from mskit.channels import example_channel
-from mskit.io import (_read_rows, _write_rows, dumps, read_choi, read_matrix,
+from mskit.io import (_read_dense, _write_rows, dumps, read_choi, read_matrix,
                       read_schur, write_choi, write_matrix, write_schur)
 from mskit.rand import random_density, rng_from_seed
 from mskit.schur import SchurTransform, build_mixed_schur
+
+from test_schur import block_phased
+from test_schur_sectors import traced_peak
 
 
 def test_schur_round_trip():
@@ -141,6 +144,10 @@ MALFORMED_CHANNEL_FILES = {
     "matrix entry not a float": (read_matrix, _replaced(_RHO, 2, "a,b" + _RHO[2][_RHO[2].index(" "):]),
                                  "re,im pair"),
 }
+MALFORMED_CHANNEL_FILES["choi extra row"] = (read_choi, _CHOI + [_CHOI[1]],
+                                             "expected 8 matrix rows, found 9")
+MALFORMED_CHANNEL_FILES["matrix blank line after the rows"] = (read_matrix, _RHO + [""],
+                                                               "expected 2 matrix rows, found 3")
 for _bad in ("0.0,0.0,0.0", "0.0", "0.0;0.0"):
     MALFORMED_CHANNEL_FILES[f"choi {_bad} among zeros"] = (
         read_choi, _replaced(_CHOI, 4, " ".join(["0.0,0.0"] * 5 + [_bad] + ["0.0,0.0"] * 2)),
@@ -331,7 +338,7 @@ def sparse_matrices(draw):
 def test_rows_match_the_repr_writer_and_read_back_bit_equal(M):
     rows = written_rows(M)
     assert rows == repr_rows(M)
-    R = _read_rows(rows.splitlines(), *M.shape)
+    R = _read_dense(iter(rows.splitlines()), *M.shape)
     want = M.astype(complex)  # a real matrix reads back with +0.0 imaginary parts
     assert R.dtype == want.dtype
     assert np.array_equal(R.view(np.uint64), want.view(np.uint64))
@@ -349,6 +356,170 @@ def test_schur_rows_match_the_repr_writer(n, m, d, order):
         block = M[start:start + 512]
         rows = written_rows(block)
         assert rows == repr_rows(block)
-        R = _read_rows(rows.splitlines(), *block.shape)
+        R = _read_dense(iter(rows.splitlines()), *block.shape)
         assert np.array_equal(R.real.view(np.uint64), block.view(np.uint64))
         assert not R.imag.view(np.uint64).any()
+
+
+def dense_read_schur(text):
+    """read_schur as a dense reader: the whole text split into lines, every
+    entry parsed into a zeroed complex D x D matrix, made real when no
+    imaginary part has a set bit, then split by from_matrix.  (matrix, W)."""
+    lines = text.splitlines()
+    n, m, d = map(int, lines[0].split()[2:])
+    size = d ** (n + m)
+    M = np.zeros((size, size), dtype=complex)
+    for r, line in enumerate(lines[2 + size:2 + 2 * size]):
+        for c, token in enumerate(line.split()):
+            if token != "0.0,0.0":
+                re_s, im_s = token.split(",")
+                M[r, c] = complex(float(re_s), float(im_s))
+    if not M.imag.view(np.uint64).any():
+        M = np.ascontiguousarray(M.real)
+    return M, SchurTransform.from_matrix(n, m, d, lines[1], M)
+
+
+def _with_matrix(W, M):
+    return SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, M)
+
+
+def _negative_zero_imag(W):
+    M = np.empty(W.matrix.shape, dtype=complex)
+    M.real, M.imag = W.matrix, -0.0
+    return _with_matrix(W, M)
+
+
+def _negated_rows(W):  # every zero of an even row, in a sector or not, becomes -0.0
+    M = W.matrix.copy()
+    M[::2] *= -1
+    return _with_matrix(W, M)
+
+
+def _nan_in_a_sector(W):
+    M = W.matrix.copy()
+    M[1, W.cols[W.sectors[1][1]][-1]] = np.nan
+    return _with_matrix(W, M)
+
+
+def _one_dense_row(W):  # row 1 has no ZERO token
+    M = W.matrix.copy()
+    M[1] += 1e-3
+    return _with_matrix(W, M)
+
+
+ORACLE_VARIANTS = {
+    "built": lambda W: W,
+    "block phased": lambda W: block_phased(W, 61),
+    "imaginary parts -0.0": _negative_zero_imag,
+    "leaky": lambda W: _with_matrix(W, W.matrix + 1e-6),
+    "negated rows": _negated_rows,
+    "nan in a sector": _nan_in_a_sector,
+    "one dense row": _one_dense_row,
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+@pytest.mark.parametrize("n, m, d, order", [(2, 2, 3, None), (2, 2, 2, "+-+-"),
+                                            (2, 3, 2, "-+-+-")])
+def test_streamed_read_matches_the_dense_reader(n, m, d, order, variant):
+    V = ORACLE_VARIANTS[variant](build_mixed_schur(n, m, d, order))
+    text = dumps(write_schur, V)
+    M, want = dense_read_schur(text)
+    got = read_schur(io.StringIO(text))
+    assert got.dtype == want.dtype == M.dtype
+    assert np.array_equal(_bits(got.take_rows(slice(None))), _bits(M))
+    assert np.array_equal(_bits(got.data), _bits(want.data))
+    assert (got.off is None) == (want.off is None)
+    if got.off is not None:
+        assert np.array_equal(got.off.indptr, want.off.indptr)
+        assert np.array_equal(got.off.indices, want.off.indices)
+        assert np.array_equal(_bits(got.off.data), _bits(want.off.data))
+    assert (got._zeros is None) == (want._zeros is None)
+    if got._zeros is not None:
+        assert all(map(np.array_equal, got._zeros, want._zeros))
+    if variant == "negated rows":  # the signed zeros outside the sectors are there to compare
+        assert got._zeros is not None
+
+
+def test_read_schur_holds_little_more_than_its_sector_data():
+    W = build_mixed_schur(5, 5, 2)
+    f = io.StringIO(dumps(write_schur, W))
+    R, peak = traced_peak(lambda: read_schur(f))
+    complex_bytes = 16 * R.data.size
+    assert peak <= 2 * complex_bytes + 4 * 2 ** 20, (peak, complex_bytes)
+    assert np.array_equal(R.data, W.data)
+
+
+def test_readers_leave_the_file_position_after_what_they_read(tmp_path):
+    # a caller may ask f.tell() after reading, which iterating over f forbids
+    W = build_mixed_schur(2, 1, 2)
+    for name, writer, reader, obj in [
+        ("w", write_schur, read_schur, W),
+        ("choi", write_choi, read_choi, example_channel(0.05, -0.02, 0.01, 0.03)),
+        ("rho", write_matrix, read_matrix, random_density(2, rng_from_seed(5))),
+    ]:
+        path = tmp_path / name
+        path.write_text(dumps(writer, obj))
+        with open(path) as f:
+            reader(f)
+            assert f.tell() == path.stat().st_size
+
+
+_MUTATION_FILES = {
+    "schur": dumps(write_schur, build_mixed_schur(1, 1, 2)),
+    "choi": dumps(write_choi, example_channel(0.05, -0.02, 0.01, 0.03)),
+    "matrix": dumps(write_matrix, random_density(2, rng_from_seed(6))),
+}
+_INSERTS = [",", ";", "_", "nan", "NaN,0", "é", "１,２", "\u00a0", "\x0c", "0.0,0.0",
+            "-0.0,-0.0", "1e999,0", "0,0,0", "2", "-1", "+"]
+
+
+@st.composite
+def mutated_files(draw):
+    """A small valid file of each kind with one to three of: a line dropped,
+    duplicated or swapped, a token replaced, a token inserted or spliced
+    into another, the last line truncated."""
+    lines = _MUTATION_FILES[draw(st.sampled_from(sorted(_MUTATION_FILES)))].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split(" ")
+        t = draw(st.integers(0, len(tokens) - 1))
+        new = draw(st.sampled_from(_INSERTS))
+        how = draw(st.sampled_from(["drop", "duplicate", "swap", "replace", "insert", "splice",
+                                    "truncate"]))
+        if how == "drop":
+            del lines[k]
+        elif how == "duplicate":
+            lines.insert(k, lines[k])
+        elif how == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif how == "truncate":
+            lines[-1] = lines[-1][:draw(st.integers(0, len(lines[-1])))]
+        else:
+            if how == "replace":
+                tokens[t] = new
+            elif how == "insert":
+                tokens.insert(t, new)
+            else:
+                at = draw(st.integers(0, len(tokens[t])))
+                tokens[t] = tokens[t][:at] + new + tokens[t][at:]
+            lines[k] = " ".join(tokens)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutated_files())
+def test_mutated_files_are_read_or_refused_with_value_error(text):
+    # CapExceeded is a ValueError; StopIteration, IndexError or TypeError must not escape
+    for reader in (read_schur, read_choi, read_matrix):
+        try:
+            reader(io.StringIO(text))
+        except ValueError:
+            pass

@@ -167,6 +167,21 @@ def test_unitarity_residual_matches_dense(built):
     assert Wp.unitarity_residual() >= dense_unitarity(Wp.matrix)
 
 
+def test_unitarity_residual_in_row_chunks_matches_dense(built, monkeypatch):
+    # chunks of at most 3 rows, so that most sectors span several
+    W, _ = built
+    monkeypatch.setattr(schur, "_COLUMN_ENTRIES", 3 * max(map(len, W.rows)))
+    assert abs(W.unitarity_residual() - dense_unitarity(W.matrix)) <= 1e-14
+    Wp = off_weight_copy(W, 0)
+    assert Wp.unitarity_residual() >= dense_unitarity(Wp.matrix)
+    # a NaN in the last row of the widest sector, which only the last chunk reads
+    k = max(range(len(W.rows)), key=lambda k: len(W.rows[k]))
+    M = W.matrix.copy()
+    M[W.rows[k][-1], W.cols[k][0]] = np.nan
+    assert np.isnan(SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order,
+                                               M).unitarity_residual())
+
+
 def dense_block_residuals(W, A, extract):
     """(off-block, structure, blocks) read from the dense M = W A W^dagger.
 

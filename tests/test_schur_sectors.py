@@ -223,6 +223,15 @@ def test_the_haar_side_holds_one_label_block_and_a_few_chunks(monkeypatch):
     assert peak <= 16 * (widest ** 2 + 4 * schur._COLUMN_ENTRIES), peak
 
 
+def test_unitarity_residual_holds_a_few_row_chunks(monkeypatch):
+    W = build_mixed_schur(5, 5, 2)
+    widest = max(map(len, W.rows))  # 252 rows: a 508 KB real B B^dagger
+    monkeypatch.setattr(schur, "_COLUMN_ENTRIES", 8 * widest)
+    u, peak = traced_peak(W.unitarity_residual)
+    assert u < 1e-14
+    assert peak <= 4 * 16 * schur._COLUMN_ENTRIES, peak
+
+
 def test_a_diagram_operator_that_joins_two_weights_is_refused(monkeypatch, capsys):
     represent = brauer.represent
 
