@@ -10,9 +10,14 @@ The channel acts by N(rho) = Tr_in[(d^m J) (rho^T (x) Id)].
 
 N is unitary-equivariant iff J commutes with conj(U)^{(x)m} (x) U^{(x)n} for
 every unitary U.  is_equivariant decides this exactly from the Lie algebra:
-U(d) is connected, so commuting with the group is commuting with its
-generators, and the 2(d-1) Chevalley generators E_{i,i+1}, E_{i+1,i} act on
-J by index shifts on one leg at a time.
+U(d) is connected, so commuting with the group is commuting with gl(d).  The
+diagonal part of gl(d) acts on a basis state by its computational weight, so
+J must vanish wherever the row and column weights differ; the rest is
+commuting with the 2(d-1) Chevalley generators E_{i,i+1}, E_{i+1,i}, and
+that is checked on the weight-conserving part J0 alone, a few percent of J,
+as sparse products.  The residual is max(off-weight |J|, on-weight
+commutator), within a factor 1 + 2N (N = n + m legs) of the largest
+commutator of the generators with the whole J.
 
 In the Schur basis of that mixed tensor product (dual legs first) an
 equivariant J is block diagonal with blocks Id (x) X_gamma over (GT, path)
@@ -29,26 +34,30 @@ Choi state, and the matching inverse Weyl correction is applied on every
 output qudit.  Equivariance makes each outcome branch reproduce N(rho)/d^2
 exactly, so outcomes are uniform and the average output is exactly N(rho).
 The measurement never forms the joint state rho (x) J: projecting onto the
-outcome (a, b) contracts rho to K = W_ab rho W_ab^dagger / d on the Choi
-input leg, so each branch is one pass over J, and the correction, a
-monomial operator, is a permutation of the output indices times a phase.
+outcome (a, b) contracts rho to K_ab = W_ab rho W_ab^dagger / d on the Choi
+input leg, so all d^2 branches come from one pass over J, one GEMM of the
+stacked K_ab per slab of output rows, and the correction, a monomial
+operator, is a permutation of the output indices times a phase applied in
+place.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 from .bratteli import DEFAULT_CAP
 from .rand import rng_from_seed
-from .schur import (BlockDiagReport, SchurTransform, _structured_residuals,
-                    build_mixed_schur)
+from .schur import (BlockDiagReport, SchurTransform, _runs, _structured_residuals,
+                    build_mixed_schur, computational_weights)
 
-# Entries of J in one row chunk of is_equivariant: 512 KB of complex data,
-# small enough to stay in cache while all 2(n+m) legs of a generator act.
+# Entries of J in one row chunk of is_equivariant's off-weight pass, and in one
+# slab of _teleport_branches: 512 KB of complex data, small enough for cache.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -117,57 +126,95 @@ def apply_direct(J: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
     return np.einsum("aibj,ab->ij", Jt, rho)
 
 
+class _EquivariancePlan(NamedTuple):
+    """The on-weight positions of a Choi matrix of one shape, and the actions
+    of the Chevalley generators on its legs; every array is read-only.
+
+    Row r of J has its on-weight entries in the columns
+    indices[indptr[r]:indptr[r + 1]], in increasing order, and rows holds the
+    row of each.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    generators: tuple[scipy.sparse.csr_matrix, ...]
+
+
+@functools.cache
+def _equivariance_plan(n_out: int, m_in: int, d: int) -> _EquivariancePlan:
+    order = "-" * m_in + "+" * n_out
+    N, D = len(order), d ** len(order)
+    _, sector = np.unique(computational_weights(d, order), axis=0, return_inverse=True)
+    sector = sector.reshape(-1)
+    members = np.argsort(sector, kind="stable")  # each sector's states, increasing
+    counts = np.bincount(sector)
+    first, width = (np.cumsum(counts) - counts)[sector], counts[sector]  # of each row's sector
+    at, rows = _runs(first, first + width)
+    indices = members[at].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(width)]).astype(np.int32)
+    # E_ab moves digit b to a on a '+' leg; a '-' leg carries -E_ab^T = -E_ba,
+    # which moves digit a to b with the sign flipped
+    strides = d ** np.arange(N - 1, -1, -1)
+    digits = (np.arange(D)[:, None] // strides) % d
+    generators = []
+    for i in range(d - 1):
+        for a, b in ((i, i + 1), (i + 1, i)):
+            to, frm, vals = [], [], []
+            for p, kind in enumerate(order):
+                src, dst, sign = (b, a, 1.0) if kind == "+" else (a, b, -1.0)
+                states = np.flatnonzero(digits[:, p] == src)
+                to.append(states + (dst - src) * strides[p])
+                frm.append(states)
+                vals.append(np.full(len(states), sign))
+            G = scipy.sparse.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(to), np.concatenate(frm))), shape=(D, D))
+            for x in (G.data, G.indices, G.indptr):
+                x.setflags(write=False)
+            generators.append(G)
+    for x in (indptr, indices, rows):
+        x.setflags(write=False)
+    return _EquivariancePlan(indptr, indices, rows, tuple(generators))
+
+
 def is_equivariant(J: ChoiMatrix, tol: float = 1e-10) -> tuple[bool, float]:
-    """(ok, worst): worst is the max commutator entry of J with the generators.
+    """(ok, worst): worst is max(off-weight |J|, on-weight commutator).
 
     The mixed tensor representation conj(U)^{(x)m} (x) U^{(x)n} has the Lie
     algebra action X -> sum over legs of X on a '+' leg and -X^T on a '-'
     leg.  J commutes with every U(d) element iff it commutes with that action
     of every X in gl(d), because U(d) is connected and exp of the action is
-    the representation.  The identity acts as the scalar n - m, and the
-    Chevalley generators E_{i,i+1}, E_{i+1,i} generate sl(d) under brackets,
-    whose action the commutant is closed under.  So the 2(d-1) commutators
-    computed here decide equivariance exactly, with no sampling.  Each
-    generator moves one index by one step on one leg at a time, applied by
-    slicing J as an array of 2(n+m) legs.
+    the representation.  That holds iff (i) J commutes with the diagonal
+    (Cartan) part, which acts on basis state c by its computational weight,
+    so J vanishes wherever the row and column weights differ, and (ii) the
+    weight-conserving part J0 commutes with the 2(d-1) Chevalley generators
+    E_{i,i+1}, E_{i+1,i}, which generate sl(d) under brackets.  So the test
+    is exact, with no sampling: one chunked pass over J finds the largest
+    off-weight entry, and each commutator G J0 - J0 G is a sparse product on
+    the on-weight entries alone, a few percent of J at D = 1024.
+
+    worst cannot fall below the largest commutator of the generators with
+    the whole J over 1 + 2N (N = n + m): each generator has at most N unit
+    entries per row and column, so the off-weight part moves a commutator
+    entry by at most 2N times its largest entry.  The tests find worst
+    within that factor of the whole-J commutator both ways.  A NaN anywhere
+    makes worst NaN.
     """
-    d, order = J.d, J.factor_order
-    N, D = len(order), J.size
-    # Rows are taken in chunks that share their leading row digits, small
-    # enough to stay in cache while every leg passes over them; legs with a
-    # short stride are slow to slice across the whole matrix.
-    free = N
-    while free and d ** free * D > _CHUNK_ENTRIES:
-        free -= 1
-    lead = N - free
-    T = J.matrix.reshape((d,) * lead + (d ** free, D))
-    C = np.empty(T.shape[lead:], dtype=T.dtype)
-    worst = 0.0
-    for digits in itertools.product(range(d), repeat=lead):
-        for i in range(d - 1):
-            for a, b in ((i, i + 1), (i + 1, i)):  # the generator E_ab
-                C[:] = 0
-                for axis in range(2 * N):
-                    # E_ab J on row legs, -J E_ab on column legs; a '-' leg
-                    # carries -E_ab^T = -E_ba, which moves the index the other way
-                    if (order[axis % N] == "+") == (axis < N):
-                        src, dst, sign = b, a, 1
-                    else:
-                        src, dst, sign = a, b, -1
-                    if axis < lead:  # a digit fixed in this chunk
-                        if digits[axis] != dst:
-                            continue
-                        Cv = C
-                        Tv = T[digits[:axis] + (src,) + digits[axis + 1:]]
-                    else:
-                        shape = (d ** (axis - lead), d, -1)
-                        Cv = C.reshape(shape)[:, dst]
-                        Tv = T[digits].reshape(shape)[:, src]
-                    if sign > 0:
-                        Cv += Tv
-                    else:
-                        Cv -= Tv
-                worst = float(np.maximum(worst, np.abs(C).max()))
+    plan = _equivariance_plan(J.n_out, J.m_in, J.d)
+    D = J.size
+    off = 0.0
+    step = max(1, _CHUNK_ENTRIES // D)
+    for a in range(0, D, step):
+        A = np.abs(J.matrix[a:a + step])
+        on = slice(plan.indptr[a], plan.indptr[min(a + step, D)])
+        A[plan.rows[on] - a, plan.indices[on]] = 0
+        off = np.maximum(off, A.max())
+    J0 = scipy.sparse.csr_matrix((J.matrix[plan.rows, plan.indices], plan.indices, plan.indptr),
+                                 shape=(D, D))
+    worst = off
+    for G in plan.generators:
+        worst = np.maximum(worst, np.abs((G @ J0 - J0 @ G).data).max(initial=0.0))
+    worst = float(worst)
     return worst < tol, worst
 
 
@@ -254,12 +301,12 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 def _reference_basis_212() -> np.ndarray:
     """Closed-form Schur basis for (n, m, d) = (2, 1, 2), dual leg first.
 
-    build_mixed_schur(2, 1, 2, "-++").matrix with rows 2, 3 and 7 negated:
-    the sign convention under which the closed-form block entries of
-    :func:`example_channel` hold literally.
+    The rows of build_mixed_schur(2, 1, 2, "-++") with rows 2, 3 and 7
+    negated: the sign convention under which the closed-form block entries
+    of :func:`example_channel` hold literally.
     """
     signs = np.array([1, 1, -1, -1, 1, 1, 1, -1])
-    return signs[:, None] * build_mixed_schur(2, 1, 2, "-++").matrix
+    return signs[:, None] * build_mixed_schur(2, 1, 2, "-++").take_rows(slice(0, 8))
 
 
 def example_channel_blocks(t: float, u: float, v: float, w: float,
@@ -353,35 +400,47 @@ def teleport_apply(J: ChoiMatrix, rho: np.ndarray, rng_seed: int | None = None,
         rng = rng_from_seed(0 if rng_seed is None else rng_seed)
         k = rng.choice(d * d, p=probs / probs.sum())
         return branches[k] / probs[k], probs
-    return sum(branches), probs
+    return branches.sum(axis=0), probs
 
 
-def _teleport_branches(J: ChoiMatrix, rho: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _teleport_branches(J: ChoiMatrix, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corrected output state of each Weyl outcome (a, b), and its probability.
 
     Projecting the input A and the Choi input leg A' onto
-    (Id (x) conj(W_ab)) |Omega> leaves B in sigma_ab = sum_{c,e} K[c, e]
-    J[(c, .), (e, .)] with K = W_ab rho W_ab^dagger / d, one pass over J.  The
-    correction (W_ab^dagger)^{(x)n} is monomial: it sends |x + a> (a added to
-    every digit mod d) to omega^{-b digitsum(x)} |x>, so it is applied by
-    indexing sigma and scaling by a phase, without a d^n x d^n operator.
+    (Id (x) conj(W_ab)) |Omega> leaves B in sigma_ab = sum_{c,e} K_ab[c, e]
+    J[(c, .), (e, .)] with K_ab = W_ab rho W_ab^dagger / d.  All d^2 branches
+    come from one pass over J: a slab of output rows i at a time, read from
+    J[(c, i), (e, .)] for every c, e, and one GEMM of the stacked K_ab against
+    it.  A slab holds at most _CHUNK_ENTRIES entries, so the only D^2-sized
+    array is the branches themselves.  The correction (W_ab^dagger)^{(x)n} is
+    monomial: it sends |x + a> (a added to every digit mod d) to
+    omega^{-b digitsum(x)} |x>, so it is applied in place by indexing sigma
+    and scaling by a phase, without a d^n x d^n operator.
+    branches[a * d + b] is the corrected state of (a, b).
     """
     d, n = J.d, J.n_out
     dout = d ** n
     J4 = J.matrix.reshape(d, dout, d, dout)
+    Ws = (weyl_operator(a, b, d) for a in range(d) for b in range(d))
+    K = np.stack([Wab @ rho @ Wab.conj().T / d for Wab in Ws]).reshape(d * d, d * d)
+    branches = np.empty((d * d, dout, dout), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // (d * J.size))  # output rows per slab
+    for i in range(0, dout, step):
+        slab = J4[:, i:i + step].transpose(0, 2, 1, 3).reshape(d * d, -1)  # ((c, e), (i, j))
+        branches[:, i:i + step] = (K @ slab).reshape(d * d, -1, dout)
     digits = np.indices((d,) * n).reshape(n, dout)
     strides, digit_sum = d ** np.arange(n - 1, -1, -1), digits.sum(axis=0)
-    probs = np.zeros(d * d)
-    branches = []
     for a in range(d):
-        src = ((digits + a) % d).T @ strides
+        src = np.ix_(*2 * [((digits + a) % d).T @ strides])
         for b in range(d):
-            Wab = weyl_operator(a, b, d)
-            sigma = np.einsum("ce,ciej->ij", Wab @ rho @ Wab.conj().T / d, J4)
-            phase = np.exp(-2j * np.pi * b * digit_sum / d)
-            branches.append(phase[:, None] * sigma[np.ix_(src, src)] * phase.conj())
-            probs[a * d + b] = np.trace(sigma).real
-    return branches, probs
+            sigma = branches[a * d + b]
+            if a:
+                sigma[:] = sigma[src]
+            if b:
+                phase = np.exp(-2j * np.pi * b * digit_sum / d)
+                sigma *= phase[:, None]
+                sigma *= phase.conj()
+    return branches, np.trace(branches, axis1=1, axis2=2).real
 
 
 def m2_success_probability(d: int) -> Fraction:

@@ -864,6 +864,22 @@ def verify_brauer(W: SchurTransform, sigma: brauer.WalledBrauerDiagram) -> Block
     return BlockDiagReport(off_res, struct_res, blocks)
 
 
+def computational_weights(d: int, factor_order: str) -> np.ndarray:
+    """The (d^N, d) weights of the computational basis states of N legs.
+
+    Basis state c gains +e_i for value i on a '+' leg and -e_i on a '-' leg,
+    the legs read as the base-d digits of c, most significant first.
+    """
+    size = d ** len(factor_order)
+    out = np.zeros((size, d), dtype=np.int64)
+    cols = np.arange(size)
+    reps = size
+    for kind in factor_order:
+        reps //= d
+        out[cols, (cols // reps) % d] += 1 if kind == "+" else -1
+    return out
+
+
 def weight_sectors(n: int, m: int, d: int,
                    factor_order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the rows of W by GT label weight and its columns by computational weight.
@@ -871,19 +887,14 @@ def weight_sectors(n: int, m: int, d: int,
     Returns (weights, row_sector, col_sector): weights is the (K, d) array of
     the distinct weights found on either side, row_sector[a] is the index in
     weights of the weight of row a's GT pattern, and col_sector[c] that of
-    basis state c, which gains +e_i for value i on a '+' leg and -e_i on a
-    '-' leg.  A correct W is zero wherever row_sector[a] != col_sector[c].
+    basis state c (computational_weights).  A correct W is zero wherever
+    row_sector[a] != col_sector[c].
     The arrays are read-only; W.sectors keeps them on the transform.
     """
     size = d ** (n + m)
     row_w = np.concatenate([np.tile(pattern_weights(g), (mg, 1))
                             for g, _, _, mg in row_layout(n, m, d)])
-    col_w = np.zeros((size, d), dtype=np.int64)
-    cols = np.arange(size)
-    reps = size
-    for kind in factor_order:
-        reps //= d
-        col_w[cols, (cols // reps) % d] += 1 if kind == "+" else -1
+    col_w = computational_weights(d, factor_order)
     weights, sector = np.unique(np.vstack([row_w, col_w]), axis=0, return_inverse=True)
     sector = sector.reshape(-1)
     for a in (weights, sector):

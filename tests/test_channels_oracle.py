@@ -4,8 +4,10 @@ The oracles are the definitions as first written: teleportation branches
 contracted from the joint state rho (x) J with the POVM vector of each Weyl
 outcome and corrected by the kron of d^n x d^n Weyl operators, the random
 Stinespring channel's Choi matrix evaluated on matrix units, twirl and
-choi_to_schur from the dense product W J W^dagger, and the equivariance test
-as commutators with Haar-random mixed tensor operators.  They share no code
+choi_to_schur from the dense product W J W^dagger, the teleportation branches
+as one einsum over J per Weyl outcome, and the equivariance test as
+commutators with Haar-random mixed tensor operators and with the Chevalley
+generators acting on the whole J.  They share no code
 with mskit.channels beyond weyl_operator and choi_of_map, and with the
 weight-sector products of mskit.schur only the block extraction.
 """
@@ -13,10 +15,11 @@ weight-sector products of mskit.schur only the block extraction.
 import numpy as np
 import pytest
 
-from mskit.channels import (ChoiMatrix, _teleport_branches, choi_of_map,
-                            choi_to_schur, example_channel, is_equivariant,
-                            random_cptp_choi, random_equivariant_choi,
-                            teleport_apply, twirl, weyl_operator)
+from mskit.channels import (_CHUNK_ENTRIES, ChoiMatrix, _equivariance_plan,
+                            _teleport_branches, choi_of_map, choi_to_schur,
+                            example_channel, is_equivariant, random_cptp_choi,
+                            random_equivariant_choi, teleport_apply, twirl,
+                            weyl_operator)
 from mskit.rand import haar_unitary, random_density, rng_from_seed
 from mskit.schur import SchurTransform, _structured_residuals, build_mixed_schur
 
@@ -109,6 +112,41 @@ def test_teleport_sample_mode_matches_kron_formula(n, m, d):
         # drawn index shows only through the distribution it is drawn from
         draw = lambda p: int(rng_from_seed(seed).choice(d * d, p=p / p.sum()))
         assert draw(probs) == draw(want_probs)
+
+
+def einsum_teleport_branches(J, rho):
+    """(branches, probs): sigma_ab as one einsum over J per Weyl outcome,
+    corrected by indexing and a phase."""
+    d, n = J.d, J.n_out
+    dout = d ** n
+    J4 = J.matrix.reshape(d, dout, d, dout)
+    digits = np.indices((d,) * n).reshape(n, dout)
+    strides, digit_sum = d ** np.arange(n - 1, -1, -1), digits.sum(axis=0)
+    branches, probs = [], np.zeros(d * d)
+    for a in range(d):
+        src = ((digits + a) % d).T @ strides
+        for b in range(d):
+            Wab = weyl_operator(a, b, d)
+            sigma = np.einsum("ce,ciej->ij", Wab @ rho @ Wab.conj().T / d, J4)
+            phase = np.exp(-2j * np.pi * b * digit_sum / d)
+            branches.append(phase[:, None] * sigma[np.ix_(src, src)] * phase.conj())
+            probs[a * d + b] = np.trace(sigma).real
+    return branches, probs
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 3)])
+def test_teleport_branches_match_einsum_over_chunked_slabs(n, d):
+    rng = rng_from_seed(55 + n + d)
+    J = random_cptp_choi(1, n, d, rng, kraus_rank=2)
+    # the d^n output rows of J take several slabs
+    assert d * J.size * d ** n > _CHUNK_ENTRIES
+    rho = random_density(d, rng)
+    branches, probs = _teleport_branches(J, rho)
+    want_branches, want_probs = einsum_teleport_branches(J, rho)
+    assert np.abs(probs - want_probs).max() < 1e-13
+    assert len(branches) == d * d
+    for got, want in zip(branches, want_branches):
+        assert np.abs(got - want).max() < 1e-13
 
 
 def stinespring_choi(m_in, n_out, d, rng, kraus_rank=None):
@@ -319,3 +357,90 @@ def test_is_equivariant_agrees_with_haar_commutators(J):
         assert worst < 1e-12
     else:
         assert worst > 1e-3 and want_worst > 1e-3
+
+
+def chevalley_is_equivariant(J, tol=1e-10):
+    """(ok, worst): the max entry of the commutators of the whole J with the
+    actions of the 2(d-1) Chevalley generators, each applied by slicing J as
+    an array of 2(n+m) legs."""
+    d, order = J.d, J.factor_order
+    N = len(order)
+    T = J.matrix.reshape((d,) * (2 * N))
+    worst = 0.0
+    for i in range(d - 1):
+        for a, b in ((i, i + 1), (i + 1, i)):  # the generator E_ab
+            C = np.zeros_like(T)
+            for axis in range(2 * N):
+                # E_ab J on row legs, -J E_ab on column legs; a '-' leg
+                # carries -E_ab^T = -E_ba, which moves the index the other way
+                if (order[axis % N] == "+") == (axis < N):
+                    src, dst, sign = b, a, 1
+                else:
+                    src, dst, sign = a, b, -1
+                at = (slice(None),) * axis
+                C[at + (dst,)] += sign * T[at + (src,)]
+            worst = np.maximum(worst, np.abs(C).max())
+    return bool(worst < tol), float(worst)
+
+
+@pytest.mark.parametrize("J", [pytest.param(J, id=name) for name, J in suite_choi_matrices()])
+def test_is_equivariant_agrees_with_whole_matrix_commutators(J):
+    ok, worst = is_equivariant(J)
+    want_ok, want_worst = chevalley_is_equivariant(J)
+    assert ok == want_ok
+    # each generator has at most N unit entries per row and column, so an
+    # off-weight part bounded by worst moves the commutators by 2 N worst
+    factor = 1 + 2 * (J.n_out + J.m_in)
+    assert want_worst / factor <= worst <= factor * want_worst
+
+
+def weight_of(state, order, d):
+    """Weight of a computational basis state: +e_i for value i on a '+'
+    leg, -e_i on a '-' leg, the legs read as base-d digits."""
+    w = np.zeros(d, dtype=int)
+    for p, kind in enumerate(reversed(order)):
+        w[(state // d ** p) % d] += 1 if kind == "+" else -1
+    return tuple(w)
+
+
+def weight_positions(J):
+    """(on, off): one on-weight and one off-weight position of J, off the
+    diagonal."""
+    weights = [weight_of(c, J.factor_order, J.d) for c in range(J.size)]
+    pairs = [(r, c) for r in range(J.size) for c in range(J.size) if r != c]
+    on = next((r, c) for r, c in pairs if weights[r] == weights[c])
+    off = next((r, c) for r, c in pairs if weights[r] != weights[c])
+    return on, off
+
+
+def test_a_small_off_weight_entry_is_not_equivariant():
+    rng = rng_from_seed(14)
+    J = random_equivariant_choi(1, 3, 3, rng)
+    assert is_equivariant(J)[0]
+    _, (r, c) = weight_positions(J)
+    J.matrix[r, c] += 1e-6
+    ok, worst = is_equivariant(J, tol=1e-8)
+    assert not ok and abs(worst - 1e-6) < 1e-12
+    assert not chevalley_is_equivariant(J, tol=1e-8)[0]
+
+
+@pytest.mark.parametrize("where", ["on-weight", "off-weight"])
+def test_a_nan_on_or_off_weight_is_not_equivariant(where):
+    J = random_equivariant_choi(1, 2, 3, rng_from_seed(15))
+    on, off = weight_positions(J)
+    J.matrix[on if where == "on-weight" else off] = np.nan
+    ok, worst = is_equivariant(J)
+    assert ok is False and np.isnan(worst)
+
+
+def test_equivariance_plan_cached_and_read_only():
+    plan = _equivariance_plan(2, 1, 3)
+    assert _equivariance_plan(2, 1, 3) is plan
+    assert len(plan.generators) == 2 * (3 - 1)
+    for a in (plan.indptr, plan.indices, plan.rows,
+              *(x for G in plan.generators for x in (G.data, G.indices, G.indptr))):
+        assert not a.flags.writeable
+    # sectors of sizes 1 (six), 2 (three) and 5 (three): 93 on-weight entries
+    assert len(plan.rows) == 93 == sum(
+        1 for r in range(27) for c in range(27)
+        if weight_of(r, "-++", 3) == weight_of(c, "-++", 3))
