@@ -8,6 +8,7 @@ exceeded, verification residual above tolerance, malformed input file),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -297,8 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: a parse leaves nothing in the
+    parser, so every call of main can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.cmd == "verify" and not args.file and None in (args.n, args.m, args.d):
         ap.error("verify needs n m d or --file")

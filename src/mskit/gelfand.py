@@ -23,6 +23,7 @@ import itertools
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,3 +160,41 @@ def subduce(gamma: Staircase) -> tuple[tuple[Staircase, int, int], ...]:
 def subduce_offsets(gamma: Staircase) -> Mapping[Staircase, int]:
     """Second row -> offset map derived from :func:`subduce`, read-only."""
     return MappingProxyType({mu: off for mu, off, _ in subduce(gamma)})
+
+
+class _Weights(NamedTuple):
+    """The GT patterns of one staircase grouped by weight.
+
+    weights[k] is the k-th distinct pattern weight; pattern q has the weight
+    weights[of[q]] and is the rank[q]-th pattern of it, and the patterns of
+    weight k are order[first[k]:first[k] + count[k]], in increasing order.
+    """
+
+    weights: np.ndarray
+    of: np.ndarray
+    rank: np.ndarray
+    order: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One opaque key per row of an integer array, equal for equal rows."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    return a.view(np.dtype((np.void, 8 * a.shape[1]))).reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _by_weight(gamma: Staircase) -> _Weights:
+    """_Weights of the GT patterns of gamma; every array is read-only."""
+    pw = pattern_weights(gamma)
+    _, of, count = np.unique(_row_keys(pw), return_inverse=True, return_counts=True)
+    of = of.reshape(-1)
+    order = np.argsort(of, kind="stable")
+    first = np.cumsum(count) - count
+    rank = np.empty(len(of), dtype=np.intp)
+    rank[order] = np.arange(len(of)) - np.repeat(first, count)
+    out = _Weights(pw[order[first]], of, rank, order, first, count)
+    for a in out:
+        a.setflags(write=False)
+    return out

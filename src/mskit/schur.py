@@ -64,8 +64,8 @@ import scipy.sparse
 
 from . import brauer
 from .bratteli import DEFAULT_CAP, check_cap, parse_factor_order, row_labels, row_layout
-from .cg import cg_transform
-from .gelfand import pattern_weights
+from .cg import CGTransform, cg_transform
+from .gelfand import _by_weight, pattern_weights
 from .staircase import Staircase
 
 
@@ -214,18 +214,25 @@ class SchurTransform:
         zeros there that carry a sign bit (-0.0 in either part, as a row
         phase leaves them) take part in no product but are kept, a small
         integer each, so that W.matrix and W.take_rows give every entry back
-        bit for bit.  W has the given dtype; with None it is complex, or real
-        when no imaginary part of any entry has a set bit.  Besides data,
-        off and the signed zeros, one chunk is held at a time, never a dense W.
+        bit for bit.  W has the given dtype; with None it is real when no
+        imaginary part of any entry has a set bit, and complex otherwise: data
+        is filled real and widened at the first chunk with such a bit.
+        Besides data, off and the signed zeros, one chunk is held at a time,
+        never a dense W.
         """
         size = d ** (n + m)
         (_, row_sector, col_sector), index = _sector_layout(n, m, d, factor_order)
-        data = np.zeros(index.bounds[-1], dtype=dtype or complex)
+        data = np.zeros(index.bounds[-1], dtype=dtype or float)
         key_type = np.min_scalar_type(4 * size)
         none = np.empty(0, dtype=np.intp)
         off, keys = [(none, none, data[:0])], [none.astype(key_type)]
         per_row = np.zeros(size, dtype=np.intp)  # the signed zeros of each row
         for r, c, v in entries:
+            if dtype is None and data.dtype != complex:
+                if v.imag.view(np.uint64).any():
+                    data = data.astype(complex)
+                else:
+                    v = v.real
             inside = row_sector[r] == col_sector[c]
             data[index.row_start[r[inside]] + index.col_rank[c[inside]]] = v[inside]
             r, c, v = r[~inside], c[~inside], v[~inside]
@@ -237,9 +244,6 @@ class SchurTransform:
             keys.append((c[signed] * 4 + code[signed]).astype(key_type))
         r, c, v = (np.concatenate(a) for a in zip(*off))
         keys = np.concatenate(keys)
-        if dtype is None and not (data.imag.view(np.uint64).any()
-                                  or v.imag.view(np.uint64).any() or (keys & 2).any()):
-            data, v = data.real.copy(), v.real
         off = scipy.sparse.csr_matrix((v, (r, c)), shape=(size, size))
         zeros = None
         if len(keys):
@@ -456,126 +460,10 @@ def _row_runs(index: _SectorIndex, rows: np.ndarray):
     return at, index.col_order[at + (index.row_first[rows] - start)[j]], j
 
 
-class _Weights(NamedTuple):
-    """The GT patterns of one staircase grouped by weight.
-
-    weights[k] is the k-th distinct pattern weight; pattern q has the weight
-    weights[of[q]] and is the rank[q]-th pattern of it, and the patterns of
-    weight k are order[first[k]:first[k] + count[k]], in increasing order.
-    """
-
-    weights: np.ndarray
-    of: np.ndarray
-    rank: np.ndarray
-    order: np.ndarray
-    first: np.ndarray
-    count: np.ndarray
-
-
-def _row_keys(a: np.ndarray) -> np.ndarray:
-    """One opaque key per row of an integer array, equal for equal rows."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    return a.view(np.dtype((np.void, 8 * a.shape[1]))).reshape(-1)
-
-
-@functools.cache
-def _by_weight(gamma: Staircase) -> _Weights:
-    """_Weights of the GT patterns of gamma; every array is read-only."""
-    pw = pattern_weights(gamma)
-    _, of, count = np.unique(_row_keys(pw), return_inverse=True, return_counts=True)
-    of = of.reshape(-1)
-    order = np.argsort(of, kind="stable")
-    first = np.cumsum(count) - count
-    rank = np.empty(len(of), dtype=np.intp)
-    rank[order] = np.arange(len(of)) - np.repeat(first, count)
-    out = _Weights(pw[order[first]], of, rank, order, first, count)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-class _LegBlocks(NamedTuple):
-    """One coupling t cut into its blocks between weights, for its leg.
-
-    Block u reads the patterns of the source weight weights[u].  AT[u] is
-    the dense transpose of t on the columns (q, i) with q of that weight,
-    for every leg value i, and on the rows of weight weights[u] + sign e_i,
-    sign +1 for a defining coupling and -1 for a dual one: the rows of value
-    i follow those of smaller values, in row order.  A coupling conserves
-    weight, so these are all the rows those columns reach.  Column j of
-    AT[u] is row rows[u][j] of t, reached at the value value[u][j];
-    parts[u] lists (i, target, target weight, lo, hi) for each target with
-    rows of weight weights[u] + sign e_i: they are the columns lo:hi, in
-    pattern order.
-    """
-
-    weights: tuple[tuple[int, ...], ...]
-    AT: tuple[np.ndarray, ...]
-    rows: tuple[np.ndarray, ...]
-    value: tuple[np.ndarray, ...]
-    parts: tuple[tuple[tuple, ...], ...]
-
-
-def _cut(t) -> _LegBlocks:
-    """The _LegBlocks of the coupling t.
-
-    An entry of t that joins two weights no leg value joins raises
-    RuntimeError.
-    """
-    sign, d = (1 if t.kind == "defining" else -1), t.d
-    src = _by_weight(t.input_irrep)
-    targets = [g for g, _, _ in t.output_blocks]
-    tgt = [_by_weight(g) for g in targets]
-    off = [o for _, o, _ in t.output_blocks]
-    # the weights of the targets, numbered one target after another, and
-    # which of them each source weight reaches at each value
-    K = np.cumsum([0] + [len(x.count) for x in tgt])
-    weights = np.concatenate([x.weights for x in tgt])
-    count = np.concatenate([x.count for x in tgt])
-    shifted = src.weights[:, None, :] + sign * np.eye(d, dtype=np.int64)
-    _, key = np.unique(_row_keys(np.concatenate([weights, shifted.reshape(-1, d)])),
-                       return_inverse=True)
-    key = key.reshape(-1)
-    lookup = np.full((key.max() + 1, len(tgt)), -1)
-    lookup[key[:K[-1]], np.repeat(np.arange(len(tgt)), np.diff(K))] = np.arange(K[-1])
-    reached = lookup[key[K[-1]:]].reshape(len(src.count), d, len(tgt))
-    u, i, b = np.nonzero(reached >= 0)  # the parts, in column order
-    k = reached[u, i, b]
-    width = np.bincount(u, count[k], len(src.count)).astype(np.intp)
-    lo = np.zeros(reached.shape, dtype=np.intp)  # where each part starts in its block
-    lo[u, i, b] = np.cumsum(count[k]) - count[k] - (np.cumsum(width) - width)[u]
-
-    # every entry of t into its block
-    sizes = src.count * width
-    base = np.cumsum(sizes) - sizes
-    r = t.matrix.entry_rows()
-    q, iv = np.divmod(t.matrix.indices, d)
-    rb = np.repeat(np.arange(len(tgt)), [len(x.of) for x in tgt])[r]
-    ru = src.of[q]
-    row_k = np.concatenate([x.of + k0 for x, k0 in zip(tgt, K.tolist())])
-    if np.any(row_k[r] != reached[ru, iv, rb]):
-        raise RuntimeError(f"the coupling of {t.input_irrep} joins two weights")
-    row_rank = np.concatenate([x.rank for x in tgt])
-    flat = np.zeros(int(sizes.sum()))
-    flat[base[ru] + src.rank[q] * width[ru] + lo[ru, iv, rb] + row_rank[r]] = t.matrix.data
-
-    # the row and value of every column, block after block
-    order = np.concatenate([x.order + o for x, o in zip(tgt, off)])
-    first = np.concatenate([x.first + o for x, o in zip(tgt, off)])
-    at, j = _runs(first[k], first[k] + count[k])
-    rows, value = order[at], i[j]
-    names = [tuple(w) for w in weights.tolist()]
-    parts = [[] for _ in width]
-    for u_, i_, b_, k_, lo_, c_ in zip(u.tolist(), i.tolist(), b.tolist(), k.tolist(),
-                                       lo[u, i, b].tolist(), count[k].tolist()):
-        parts[u_].append((i_, targets[b_], names[k_], lo_, lo_ + c_))
-    ends = np.cumsum(width).tolist()
-    return _LegBlocks(tuple(map(tuple, src.weights.tolist())),
-                      tuple(flat[a:a + s].reshape(-1, w) for a, s, w in zip(
-                          base.tolist(), sizes.tolist(), width.tolist())),
-                      tuple(rows[e - w:e] for e, w in zip(ends, width.tolist())),
-                      tuple(value[e - w:e] for e, w in zip(ends, width.tolist())),
-                      tuple(map(tuple, parts)))
+def _cut(t: CGTransform):
+    """The coupling t cut into its blocks between weights: t.legs, made once
+    per coupling."""
+    return t.legs
 
 
 def _leg_states(states: dict, sign: int, d: int):

@@ -20,21 +20,23 @@ Closed form, in shifted coordinates s_k = mu_k - k and s'_k = mu'_k - k:
 
 with sign S(j, j') = +1 if j <= j' and -1 otherwise.
 
-Evaluation: :func:`reduced_wigner_table` takes P (mu, mu') pairs, one
-staircase mu shared by P contents or one mu per content, and evaluates every
-j and j' of every pair in one numpy pass (in chunks of 1024 pairs);
-the coupling build hands it all pairs of one recursion level at once.  Each
-value is the signed square root of a ratio of two integer products; the
-products are exact (int64 below 2^53, where float64 holds them exactly;
-Python integers for the pairs whose products may pass 2^53), so the only
-rounding is one division and one square root, and a pair's value does not
-depend on the pairs evaluated with it.  The shifted entries of a staircase
-strictly decrease, so s_k - s_j never vanishes; s'_k - s'_{j'} + 1 vanishes
-exactly where mu' - e_{j'} is no staircase, an index the mask zeroes.  The
-numerator vanishes exactly when the output fails interlacing, which is also
-enforced by an explicit mask; where mask and formula disagree the value is
-masked to 0 with a RuntimeWarning.  :func:`dual_reduced_wigner` validates
-its arguments and reads its value from the same table.
+Evaluation: :func:`reduced_wigner_values` takes P quadruples (mu, mu', j, j')
+and evaluates them in one numpy pass (in chunks of _CHUNK quadruples), its
+work arrays holding the quadruples along their last axis; the coupling
+build hands it every coefficient of one recursion level at once, and
+:func:`reduced_wigner_table` is the same evaluator over every j and j' of P
+(mu, mu') pairs.  Each value is the signed square root of a ratio of two
+integer products; the products are exact (int64 below 2^53, where float64
+holds them exactly; Python integers for the quadruples whose products may
+pass 2^53), so the only rounding is one division and one square root, and
+a value does not depend on the quadruples evaluated with it.  The shifted
+entries of a staircase strictly decrease, so s_k - s_j never vanishes;
+s'_k - s'_{j'} + 1 vanishes exactly where mu' - e_{j'} is no staircase, an
+index the mask zeroes.  The numerator vanishes exactly when the output
+fails interlacing, which is also enforced by an explicit mask; where mask
+and formula disagree the value is masked to 0 with a RuntimeWarning.
+:func:`dual_reduced_wigner` validates its arguments and reads its value
+from the same table.
 
 Grouped by fixed output content nu, the coefficients form square orthogonal
 matrices (see :func:`reduced_wigner_operator`); that orthogonality is what
@@ -51,8 +53,9 @@ import numpy as np
 from .staircase import Staircase, interlaces, is_valid, validate
 
 MASK_FORMULA_TOL = 1e-14
-# pairs per vectorized pass: bounds the (pairs, d, d, d) temporaries
-_CHUNK = 1024
+# (mu, mu', j, j') quadruples per vectorized pass: bounds the (count, d)
+# temporaries
+_CHUNK = 1 << 14
 
 
 def reduced_wigner_table(mu, contents) -> np.ndarray:
@@ -65,66 +68,109 @@ def reduced_wigner_table(mu, contents) -> np.ndarray:
     (P, d, d) array is T(mu_p, j, contents[p], j'); entries whose output is
     invalid are 0.
     """
-    cont = np.array(contents, dtype=np.int64)
-    n = len(cont)
     m = np.array(mu, dtype=np.int64)
     d = m.shape[-1]
-    m = np.broadcast_to(m, (n, d))
+    cont = np.array(contents, dtype=np.int64)
+    n = len(cont)
     cont = cont.reshape(n, d - 1)
-    # every factor is at most mu_1 - mu_d + d + 1 in magnitude; the pairs
-    # whose products could pass 2^53 (float64's exact integers) are taken in
-    # Python integers, whose true division rounds once
-    span = m[:, 0] - m[:, -1] + d + 1
+    p = np.repeat(np.arange(n), d * d)
+    j = np.tile(np.repeat(np.arange(1, d + 1), d), n)
+    jp = np.tile(np.arange(d), n * d)
+    m = np.broadcast_to(m, (n, d)) if m.ndim == 1 else m
+    return reduced_wigner_values(m[p], cont[p], j, jp).reshape(n, d, d)
+
+
+def reduced_wigner_values(mu, contents, j, j_prime) -> np.ndarray:
+    """T(mu[p], j[p], contents[p], j_prime[p]) for every p.
+
+    mu is a (P, d) array of staircases, contents a (P, d-1) array of
+    staircases mu', j (1-based) and j_prime P indices.  Each mu' interlaces
+    its mu (not checked here); values whose output is invalid are 0.
+    """
+    m = np.asarray(mu, dtype=np.int64)
+    cont = np.asarray(contents, dtype=np.int64)
+    n, d = m.shape
+    j = np.asarray(j) - 1
+    jp = np.asarray(j_prime)
+    # a product has at most 2d - 3 factors, each at most mu_1 - mu_d + d + 1
+    # in magnitude; the quadruples whose products could pass 2^53 (float64's
+    # exact integers) are taken in Python integers, whose true division
+    # rounds once
     e = max(2 * d - 3, 1)
-    wide = np.isin(span, [x for x in np.unique(span).tolist() if x ** e >= 2 ** 53])
-    out = np.empty((n, d, d))
-    for at, dtype in ((np.flatnonzero(~wide), np.int64), (np.flatnonzero(wide), object)):
+    limit = round(2 ** (53 / e))
+    while limit ** e < 2 ** 53:
+        limit += 1
+    while (limit - 1) ** e >= 2 ** 53:
+        limit -= 1
+    wide = m[:, 0] - m[:, -1] >= limit - d - 1
+    out = np.empty(n)
+    for dtype, at in ((np.int64, np.flatnonzero(~wide)), (object, np.flatnonzero(wide))):
         for lo in range(0, len(at), _CHUNK):
             part = at[lo:lo + _CHUNK]
-            out[part] = _table(m[part], cont[part], dtype)
+            if len(part) == n:  # all in one pass: views, no copies
+                part = slice(None)
+            out[part] = _values(m[part], cont[part], j[part], jp[part], dtype)
     return out
 
 
-def _table(m: np.ndarray, cont: np.ndarray, dtype) -> np.ndarray:
-    """reduced_wigner_table of the pairs (m[p], cont[p]), with the integer
-    products taken in dtype."""
+def _values(m: np.ndarray, cont: np.ndarray, j: np.ndarray, jp: np.ndarray,
+            dtype) -> np.ndarray:
+    """T(m[p], j[p] + 1, cont[p], jp[p]) for every p, with the integer
+    products taken in dtype.  The work arrays hold p along their last axis."""
     n, d = m.shape
-    s = (m - np.arange(1, d + 1)).astype(dtype)
-    sp = (cont - np.arange(1, d)).astype(dtype)
-    eye = np.eye(d, dtype=bool)
-    a = sp[:, None, :] - s[:, :, None]           # [p, j, k] = s'_k - s_j
-    b = s[:, None, :] - sp[:, :, None] + 1       # [p, q, k] = s_k - s'_q + 1, q = j' - 1
-    num = np.empty((n, d, d), dtype=a.dtype)
-    num[:, :, 0] = a.prod(axis=2)
-    num[:, :, 1:] = (np.where(eye[:-1, :-1], 1, a[:, :, None, :]).prod(axis=3)
-                     * np.where(eye[:, None, :], 1, b[:, None]).prod(axis=3))
-    den = np.ones((n, 1, d), dtype=a.dtype)
-    # prod_{k != q} (s'_k - s'_q + 1): the k = q factor is 1
-    den[:, 0, 1:] = (sp[:, None, :] - sp[:, :, None] + 1).prod(axis=2)
-    den = den * (s[:, None, :] - s[:, :, None] + eye).prod(axis=2)[:, :, None]
-    # den vanishes exactly where mu' - e_{j'} is no staircase; masked below
-    den[den == 0] = 1
-    minus = np.tri(d, dtype=bool)  # row j - 1: S(j, j') = -1 where 1 <= j' < j
-    minus[:, 0] = False
-    value = np.where(minus, -1.0, 1.0) * np.sqrt(np.abs(num / den).astype(float))
+    k = np.arange(d)[:, None]
+    at_j = k == j
+    kp = jp - 1  # the k of s'_{j'}
+    at_jp = k[:-1] == kp
+    # rows s'_1, ..., s'_{d-1}, then s_1, ..., s_d
+    v = np.empty((2 * d - 1, n), dtype=dtype)
+    v[:d - 1] = cont.T
+    v[d - 1:] = m.T
+    v -= np.concatenate([k[:-1], k]) + 1
+    sp, s = v[:d - 1], v[d - 1:]
+    r = np.arange(n)
+    s_j = v[d - 1 + j, r]
+    q = v[kp, r] - 1  # s'_{j'} - 1, unused at j' = 0
+    # numerator: prod_{k != j'} (s'_k - s_j) * prod_{k != j} (s_k - s'_{j'} + 1),
+    # the second product absent at j' = 0; denominator: prod_{k != j'}
+    # (s'_k - s'_{j'} + 1), whose k = j' factor is 1 and which is absent at
+    # j' = 0, and prod_{k != j} (s_k - s_j); the first vanishes exactly where
+    # mu' - e_{j'} is no staircase, masked below.  The factors left out are
+    # set to 1.
+    f = np.empty((2 * d - 1, 2, n), dtype=v.dtype)
+    np.subtract(sp, s_j, out=f[:d - 1, 0])
+    np.subtract(s, q, out=f[d - 1:, 0])
+    np.subtract(sp, q, out=f[:d - 1, 1])
+    np.subtract(s, s_j, out=f[d - 1:, 1])
+    left_out = np.empty(f.shape, dtype=bool)
+    unchanged = jp == 0
+    left_out[:d - 1, 0] = at_jp
+    np.logical_or(at_j, unchanged, out=left_out[d - 1:, 0])
+    left_out[:d - 1, 1] = unchanged
+    left_out[d - 1:, 1] = at_j
+    np.copyto(f, 1, where=left_out)
+    num, den = f.prod(axis=0)
+    nu_bad = den == 0  # mu' - e_{j'} is no staircase
+    den[nu_bad] = 1
+    value = np.sqrt(np.abs(num / den).astype(float, copy=False))
+    # S(j, j') = -1 where 1 <= j' < j; at j' = 0, kp < j always holds
+    np.negative(value, out=value, where=(kp < j) ^ unchanged)
 
     # valid iff nu = mu' - e_{j'} (nu = mu' at j' = 0) interlaces mu - e_j,
     # which also makes both staircases
-    target = (m[:, None, :] - np.eye(d, dtype=np.int64))[:, :, None, :]
-    nu = cont[:, None, :] - np.eye(d, d - 1, -1, dtype=np.int64)
-    nu_ok = (nu[..., :-1] >= nu[..., 1:]).all(axis=2)[:, None, :]
-    nu = nu[:, None, :, :]
-    valid = ((target[..., :-1] >= nu) & (nu >= target[..., 1:])).all(axis=3)
-    stray = ~valid & nu_ok & (np.abs(value) > MASK_FORMULA_TOL)
+    target = m.T - at_j
+    nu = cont.T - at_jp
+    invalid = ~(np.concatenate([target[:-1] - nu, nu - target[1:]]) >= 0).all(axis=0)
+    stray = invalid & ~nu_bad & (np.abs(value) > MASK_FORMULA_TOL)
     if stray.any():
-        ia, jj, jp = (int(x[0]) for x in np.nonzero(stray))
+        p = int(np.flatnonzero(stray)[0])
         warnings.warn(
-            f"reduced Wigner formula gave {value[ia, jj, jp]} on masked index "
-            f"(mu={tuple(m[ia].tolist())}, j={jj + 1}, mu'={tuple(cont[ia].tolist())}, "
-            f"j'={jp}); masking to 0",
+            f"reduced Wigner formula gave {value[p]} on masked index "
+            f"(mu={tuple(m[p].tolist())}, j={int(j[p]) + 1}, mu'={tuple(cont[p].tolist())}, "
+            f"j'={int(jp[p])}); masking to 0",
             RuntimeWarning,
         )
-    value[~valid] = 0.0
+    value[invalid] = 0.0
     return value
 
 

@@ -2,6 +2,7 @@
 read-only arrays, the bend on triplets, the NaN-safe unitarity check and
 the memory of large builds."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -99,6 +100,73 @@ def test_couplings_do_not_depend_on_memo_order(gamma):
                 cg._sparse_dual(tuple(x + c for x in reach[k]))
         assert build() == cold, trial
     clear_cache()
+
+
+# SHA-256 of (data, indices, indptr, output_blocks) of dual_cg(gamma) and
+# defining_cg(gamma), as the per-staircase build wrote them: any change to a
+# coupling's entries, their storage order or dtype, or its block labels shows
+# here.  Shifted staircases (last entry != 0), the bench's coupling-pool
+# anchor (4, 4, 2, 2, -1) and one d = 16 staircase are among them.
+PINNED_DIGESTS = {
+    (1, 0): ("97b6ba913a90118cd4fa3457e5e28004d95eaac948fac89d732bdd7fef2237cb",
+        "12d3b749229a7af9fd2c6941dde4f68955e0fbeee9e504562b0a032369e84341"),
+    (2, -1): ("146f0daa8d2d3ab97aa7db73c90bff89d28951447ccbe20e3a2f15280eec75cc",
+        "d6e053a01d99131f99a82a390ba835ab59be4cb7b66e39919e6b8c29dddcf50e"),
+    (3, 1): ("ee9beeadc232c459d62cfbb46ee567128ce742a0e6f8573017c61f94468ba0b2",
+        "45added44227f527e320f9e32b743516e1748f42cc1975912fe8b095dd15bc31"),
+    (1, 0, 0): ("49758b71a328a378937ae747bd775942321e935a3b815731b23fe9d0dd07f932",
+        "b2f9aa2fa2c97ed488244fda5840d307624ea1db612b488e1967eea7f44c63a8"),
+    (2, 1, -1): ("619b6e8812f29dc2407e7c21baf312ced35e4e0eb916541b4ca726ed6d762611",
+        "be11c52f833a22a7525795cae94ada825fb1ed481537ea11d98011329871bc22"),
+    (4, 2, 1): ("2a72c6a2eec9ba2840da56d32b5714979dc460077ddb7fe38703edbe0e005877",
+        "40a10c3af5ed7b5d24c5b74519f024d533852f7fe8d7828f2be9a846678091ea"),
+    (2, 1, 0, -1): ("c2e5d8a994c690db30d597e2c32ccd803020b01ddd91ae08d03e2f887f2ae144",
+        "9e2a7b4741faccf8935a1408f30a3b5f0c5e13a1ac9b137e00bb1f125d0fd6a0"),
+    (3, 3, 1, 0): ("4ff6201dd30c3ec65644fe4db52c49dbd7fde28964a5c093a7164bbd4f880d83",
+        "37dc3f1731186261bca606844f1d907fc4268fb13c3cde09fcb33641c92edae8"),
+    (1, 0, -2, -3): ("40d6709c30583c713caf6319b5659fce2e7c63f8474780004eaea4a6fe660d0f",
+        "fc4b7035eec7de51d1a182444fb7059f0ebff57e7d3e82397313889b711719ff"),
+    (2, 1, 0, 0, -1): ("d09a1d997c72282d1e5346713ce376440a475fed8e388563378a216fd8fbbb8a",
+        "5ed26de1f30eca1bcfa0b86b67f5f419e992409c42be128d9cbd82701c8f8ae8"),
+    (3, 2, 2, 1, 1): ("dffb98efd1d6209c958cdc3648c358fb27beb0c96a00cca0735ccff9ee5d952c",
+        "8633b0c291bd679f541713adebff88eca8d1871892b218284ea155ebb88b8c25"),
+    (0, 0, -1, -2, -4): ("9af5a712e479f04f92809c056b1c99e1911aee703eb4c010e9a34808b618ded9",
+        "ae460ab0119157ca8fe4642b61db37538d1a08a5caa330255b8886754cf53a3f"),
+    (4, 4, 2, 2, -1): ("35b0c9349d32cb7244590b64f7cf847b7ecc77f25b9e10e7a87bf9cbead440b8",
+        "06edea0844e2d152dbdce4ea576415232ca54e54567fa78e34eb171fc2d7fbde"),
+    (1, 1, 0, 0, -1, -1): ("9e449f407f754684b31e3741c14151db3b408e01aa56ba81556847ed0b598e19",
+        "5497f5f3d8e7b50f71f2840e9d97db8596c0e00d5e75ef93ffde5f0d0161cc83"),
+    (2, 2, 1, 1, 0, 0): ("df2f75ad8e00f29fd75dd81183013e3e76fd2fc1a8099840356755813bb27d77",
+        "9b562b7d81cccf10ae10d9327af6f07425bf442613426ac299fd663a1980a38c"),
+    (1, 0, 0, 0, 0, 0, -1): ("20b16ee18397b3d7db7e2f8274d059352db20c7c5b9933c0570eae3d95c89811",
+        "dceb0ff712e3345da43bd21f7072f605d50506a3a0ddfa4a541ee3c0b1c65347"),
+    (2, 1, 1, 1, 1, 1, 1): ("a135085ce44f2bdbb984b99603a1316d6d2c2e9aac4779445d8ea860ed612c9a",
+        "0e473fd76498b6b483e42c8d113d18faeddb2a9be335e3639e03c06c08f98a84"),
+    (1, 1, 0, 0, 0, 0, -1, -1): ("43d388d93f3f63f86bfcd83124486d91314f99843f325b1e216d33e9660b1870",
+        "625e284dc08a834b20d98b7e638092556bdabb608bf1167a124ce672f8f328f2"),
+    (3, 2, 2, 2, 2, 2, 2, 1): ("e391a42246f2b69e125c8dc2e5a9e3e1d06eeaf7bc8659ec1daa8fee7e6f4fa8",
+        "ae6ee72f481e580fb990ea7b39dfad36724787531d47f686f701ab6e070bdaf8"),
+    (1,) + (0,) * 14 + (-1,): ("8999a22b15c829dd3828b2b215b35bcb13108fd3fc28c748dd276609ede05496",
+        "3c40ffb499f23ba8f7d26bb618046e9fdbd28a83f872cdb4cfac3f103d569db0"),
+}
+
+
+def _digest(t: CGTransform) -> str:
+    h = hashlib.sha256()
+    w = t.matrix
+    for x in (w.data, w.indices, w.indptr):
+        h.update(x.dtype.str.encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    h.update(repr(t.output_blocks).encode())
+    return h.hexdigest()
+
+
+def test_couplings_match_pinned_digests():
+    clear_cache()
+    got = {gamma: (_digest(dual_cg(gamma)), _digest(defining_cg(gamma)))
+           for gamma in PINNED_DIGESTS}
+    clear_cache()
+    assert got == PINNED_DIGESTS
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

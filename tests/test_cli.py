@@ -1,10 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mskit
 from mskit import io as mio
 from mskit.cli import main
 from mskit.rand import random_density, rng_from_seed
@@ -64,6 +69,37 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "2", "2"])
     assert exc.value.code == 2
+
+
+def _fresh(*argv):
+    """Exit code, stdout and stderr of mskit argv in a process of its own."""
+    src = str(pathlib.Path(mskit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "mskit.cli", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+                         timeout=120)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_calls_of_main_share_nothing_but_the_parser(capsys, monkeypatch):
+    # main builds its parser once per process, so a call must leave nothing
+    # behind for the next: each command of a mixed sequence, a usage error
+    # among them, prints what it prints first in a process of its own
+    monkeypatch.setenv("COLUMNS", "80")
+    seq = [("census", "2", "1", "2"), ("verify", "2", "1", "2", "--trials", "0"),
+           ("schur", "1", "1", "2")]
+
+    def here(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    got = [here(argv) for argv in seq + seq[:1]]
+    want = [_fresh(*argv) for argv in seq]
+    assert want[1][0] == 2 and "--trials >= 1" in want[1][2]
+    assert got == want + want[:1]
 
 
 def test_bratteli_dot(capsys):

@@ -401,6 +401,13 @@ def _nan_in_a_sector(W):
     return _with_matrix(W, M)
 
 
+def _last_row_imaginary(W, imag=-0.0):  # the file's one imaginary bit, in its last row
+    M = W.matrix.astype(complex)
+    c = int(np.flatnonzero(W.matrix[-1])[0])  # inside the row's sector
+    M[-1, c] = complex(M[-1, c].real, imag)
+    return M, _with_matrix(W, M)
+
+
 def _one_dense_row(W):  # row 1 has no ZERO token
     M = W.matrix.copy()
     M[1] += 1e-3
@@ -411,6 +418,7 @@ ORACLE_VARIANTS = {
     "built": lambda W: W,
     "block phased": lambda W: block_phased(W, 61),
     "imaginary parts -0.0": _negative_zero_imag,
+    "imaginary bit in the last row": lambda W: _last_row_imaginary(W)[1],
     "leaky": lambda W: _with_matrix(W, W.matrix + 1e-6),
     "negated rows": _negated_rows,
     "nan in a sector": _nan_in_a_sector,
@@ -452,6 +460,28 @@ def test_read_schur_holds_little_more_than_its_sector_data():
     complex_bytes = 16 * R.data.size
     assert peak <= 2 * complex_bytes + 4 * 2 ** 20, (peak, complex_bytes)
     assert np.array_equal(R.data, W.data)
+
+
+@pytest.mark.parametrize("imag", [0.5, -0.0])
+def test_read_schur_widens_at_the_first_imaginary_bit(imag):
+    # the data is filled real and widened when the last row brings the one
+    # imaginary bit of the file; a file with none reads back real
+    W = build_mixed_schur(2, 2, 3)
+    M, V = _last_row_imaginary(W, imag)
+    got = read_schur(io.StringIO(dumps(write_schur, V)))
+    assert got.dtype == complex
+    assert np.array_equal(_bits(got.take_rows(slice(None))), _bits(M))
+    real = read_schur(io.StringIO(dumps(write_schur, W)))
+    assert real.dtype == float
+    assert np.array_equal(_bits(real.data), _bits(W.data))
+
+
+def test_a_real_read_holds_no_complex_data():
+    W = build_mixed_schur(5, 5, 2)
+    f = io.StringIO(dumps(write_schur, W))
+    R, peak = traced_peak(lambda: read_schur(f))
+    assert R.dtype == float
+    assert peak <= 2 * R.data.nbytes + 2 ** 20, (peak, R.data.nbytes)
 
 
 def test_readers_leave_the_file_position_after_what_they_read(tmp_path):
