@@ -70,6 +70,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
+from ._arrays import ranges, readonly, spans
 from .gelfand import _by_weight, _row_keys, pattern_weights
 from .staircase import Staircase, add_box_set, dim, validate
 from .wigner import reduced_wigner_values
@@ -217,9 +218,8 @@ def _cut(t: CGTransform) -> _LegBlocks:
     # the row and value of every column, block after block
     order = np.concatenate([x.order + o for x, o in zip(tgt, off)])
     first = np.concatenate([x.first + o for x, o in zip(tgt, off)])
-    j, at = _ranges(count[k])
-    rows, value = _readonly(order[first[k][j] + at], i[j])
-    _readonly(flat)
+    j, at = ranges(count[k], first[k])
+    rows, value, _ = readonly(order[at], i[j], flat)
     names = [tuple(w) for w in weights.tolist()]
     parts = [[] for _ in width]
     for u_, i_, b_, k_, lo_, c_ in zip(u.tolist(), i.tolist(), b.tolist(), k.tolist(),
@@ -278,16 +278,10 @@ def clear_cache() -> None:
         _triplet_memo.clear()
 
 
-def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for x in arrays:
-        x.setflags(write=False)
-    return arrays
-
-
 def _csr(rows, cols, vals, n: int) -> CouplingMatrix:
     """The n x n read-only CSR matrix with the given unique entries."""
     W = CouplingMatrix((vals, (rows, cols)), shape=(n, n))
-    _readonly(W.data, W.indices, W.indptr)
+    readonly(W.data, W.indices, W.indptr)
     return W
 
 
@@ -383,7 +377,7 @@ def _plan(keys: list[Staircase]) -> _Plan:
         return _Plan(keys, mus, None, None, None, None, [])
     width = mus[:, :-1] - mus[:, 1:] + 1
     count = width.prod(axis=1)
-    owner, p = _ranges(count)
+    owner, p = ranges(count)
     pairs = np.empty((len(owner), width.shape[1]), dtype=mus.dtype)
     for i in range(width.shape[1] - 1, -1, -1):
         p, r = np.divmod(p, width[owner, i])
@@ -393,20 +387,6 @@ def _plan(keys: list[Staircase]) -> _Plan:
                        for k in map(tuple, (pairs - pairs[:, -1:]).tolist())),
                       dtype=np.intp, count=len(pairs))
     return _Plan(keys, mus, count, owner, pairs, sub, list(index))
-
-
-def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and position of every element of the ranges arange(n), n in
-    lengths, laid end to end."""
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    return owner, np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
-
-
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The positions start + arange(n) of every (start, n) pair, laid end to
-    end."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def _gather(subs: list[_Triplets]):
@@ -424,9 +404,9 @@ def _gather(subs: list[_Triplets]):
         perm[idx] = placed + np.arange(len(idx))
         placed += len(idx)
         nb = lv.first[at + 1] - lv.first[at]
-        b = _spans(lv.first[at], nb)
+        b = spans(lv.first[at], nb)
         ne = lv.ptr[b + 1] - lv.ptr[b]
-        e = _spans(lv.ptr[b], ne)
+        e = spans(lv.ptr[b], ne)
         parts.append((lv.dim[at], nb, lv.jb[b], lv.off[b], lv.size[b], ne,
                       lv.rows[e], lv.cols[e], lv.vals[e]))
     dims, nb, jb, off, size, ne, rows, cols, vals = (
@@ -475,8 +455,8 @@ def _build_level(plan: _Plan, have: dict) -> dict[Staircase, _Triplets]:
     n_mu, d = mus.shape
     if d == 1:  # (0,): the integer 0 maps to -1 with coefficient 1
         zero, one = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
-        level = _Level(*_readonly(zero, zero, np.ones(1), np.arange(2), np.arange(2),
-                                  zero, zero, one, one))
+        level = _Level(*readonly(zero, zero, np.ones(1), np.arange(2), np.arange(2),
+                                 zero, zero, one, one))
         return {(0,): _Triplets(*level[:4], (((-1,), 0, 1),), level, 0)}
     (dims, nb, b0, jb, boff, bsize, ne, e0,
      rows, cols, vals) = _gather([have[k] for k in plan.contents])
@@ -484,7 +464,7 @@ def _build_level(plan: _Plan, have: dict) -> dict[Staircase, _Triplets]:
     # diagonal; column (q', i') of a content becomes (q', i') in the U(d)
     # numbering, (q', d) on the diagonal, and the content's offset in its mu
     # is added per pair
-    diag = _ranges(dims)[1]
+    diag = spans(0, dims)
     q, i = np.divmod(cols, d - 1)
     src_rows = np.concatenate([rows, diag])
     src_cols = np.concatenate([q * d + i, diag * d + d - 1])
@@ -497,8 +477,7 @@ def _build_level(plan: _Plan, have: dict) -> dict[Staircase, _Triplets]:
     in_off = at - at[pfirst][owner]
     # every segment of every pair: the content's blocks, then its diagonal;
     # seg orders them mu by mu, a mu's sub segments before its diagonals
-    so, spos = _ranges(nb[sub])
-    blk = b0[sub][so] + spos
+    so, blk = ranges(nb[sub], b0[sub])
     n_pair = len(sub)
     seg_pair = np.concatenate([so, np.arange(n_pair)])
     seg_jp = np.concatenate([jb[blk] + 1, np.zeros(n_pair, dtype=np.intp)])
@@ -517,7 +496,7 @@ def _build_level(plan: _Plan, have: dict) -> dict[Staircase, _Triplets]:
     tmu, tj = np.nonzero(open_)
     n_tgt = open_.sum(axis=1)
     tfirst = np.cumsum(n_tgt) - n_tgt
-    o, at = _ranges(n_tgt * n_seg)
+    o, at = ranges(n_tgt * n_seg)
     t_at, s_at = np.divmod(at, n_seg[o])
     g = tfirst[o] + t_at
     sig = seg[(np.cumsum(n_seg) - n_seg)[o] + s_at]
@@ -534,7 +513,7 @@ def _build_level(plan: _Plan, have: dict) -> dict[Staircase, _Triplets]:
     # a segment labeled nu moves to the target's row offset plus the offset
     # of nu in the target, less its own offset in the sub coupling
     length = seg_len[sig]
-    idx = _spans(seg_start[sig], length)
+    idx = spans(seg_start[sig], length)
     rows = src_rows[idx] + np.repeat(row0[g] + label_off - seg_off[sig], length)
     cols = src_cols[idx] + np.repeat(in_off[pr] * d, length)
     vals = src_vals[idx] * np.repeat(coef, length)
@@ -542,11 +521,11 @@ def _build_level(plan: _Plan, have: dict) -> dict[Staircase, _Triplets]:
     ptr = ends[np.searchsorted(g, np.arange(len(tj) + 1))]
     first = np.append(tfirst, len(tj))
     # each coupling's own block pointers, laid end to end: n_tgt + 1 each
-    o, at = _ranges(n_tgt + 1)
-    local = ptr[tfirst[o] + at] - ptr[tfirst[o]]
-    level = _Level(*_readonly(rows, cols, vals, ptr, first, tj, row0, size,
-                              np.add.reduceat(pdim, pfirst)))
-    _readonly(local)
+    o, at = ranges(n_tgt + 1, tfirst)
+    local = ptr[at] - ptr[tfirst[o]]
+    level = _Level(*readonly(rows, cols, vals, ptr, first, tj, row0, size,
+                             np.add.reduceat(pdim, pfirst)))
+    readonly(local)
     targets = (mus[tmu] - np.eye(d, dtype=mus.dtype)[tj]).tolist()
     blocks = list(zip(map(tuple, targets), row0.tolist(), size.tolist()))
     first, ptr = first.tolist(), ptr.tolist()

@@ -51,10 +51,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 
+from ._arrays import ranges, readonly
 from .bratteli import DEFAULT_CAP
 from .rand import rng_from_seed
-from .schur import (BlockDiagReport, SchurTransform, _runs, _structured_residuals,
-                    build_mixed_schur, computational_weights)
+from .schur import (BlockDiagReport, SchurTransform, _sector_layout, _structured_residuals,
+                    build_mixed_schur)
 
 # Entries of J in one row chunk of is_equivariant's off-weight pass, and in one
 # slab of _teleport_branches: 512 KB of complex data, small enough for cache.
@@ -145,13 +146,12 @@ class _EquivariancePlan(NamedTuple):
 def _equivariance_plan(n_out: int, m_in: int, d: int) -> _EquivariancePlan:
     order = "-" * m_in + "+" * n_out
     N, D = len(order), d ** len(order)
-    _, sector = np.unique(computational_weights(d, order), axis=0, return_inverse=True)
-    sector = sector.reshape(-1)
-    members = np.argsort(sector, kind="stable")  # each sector's states, increasing
-    counts = np.bincount(sector)
-    first, width = (np.cumsum(counts) - counts)[sector], counts[sector]  # of each row's sector
-    at, rows = _runs(first, first + width)
-    indices = members[at].astype(np.int32)
+    # the states of the weight sector of each row, in increasing order
+    (_, _, sector), index = _sector_layout(n_out, m_in, d, order)
+    counts = np.array([len(c) for c in index.cols])
+    width = counts[sector]
+    rows, at = ranges(width, (np.cumsum(counts) - counts)[sector])
+    indices = index.col_order[at].astype(np.int32)
     indptr = np.concatenate([[0], np.cumsum(width)]).astype(np.int32)
     # E_ab moves digit b to a on a '+' leg; a '-' leg carries -E_ab^T = -E_ba,
     # which moves digit a to b with the sign flipped
@@ -169,12 +169,9 @@ def _equivariance_plan(n_out: int, m_in: int, d: int) -> _EquivariancePlan:
                 vals.append(np.full(len(states), sign))
             G = scipy.sparse.csr_matrix(
                 (np.concatenate(vals), (np.concatenate(to), np.concatenate(frm))), shape=(D, D))
-            for x in (G.data, G.indices, G.indptr):
-                x.setflags(write=False)
+            readonly(G.data, G.indices, G.indptr)
             generators.append(G)
-    for x in (indptr, indices, rows):
-        x.setflags(write=False)
-    return _EquivariancePlan(indptr, indices, rows, tuple(generators))
+    return _EquivariancePlan(*readonly(indptr, indices, rows), tuple(generators))
 
 
 def is_equivariant(J: ChoiMatrix, tol: float = 1e-10) -> tuple[bool, float]:
@@ -248,15 +245,15 @@ def twirl(J: ChoiMatrix, W: SchurTransform) -> ChoiMatrix:
     only the rows of W J in the sector's label block against the same rows
     of W, and the twirled matrix is W^dagger Z with Z = (X_gamma (x) Id) W on
     each label block.  W J and W^dagger Z are weight sector products, so no
-    D x D product against W is formed.
+    D x D product against W is formed, and a label block of Z needs only the
+    same rows of W J, so Z overwrites W J in place.
     """
     _check_transform(J, W)
-    WJ = W.matmul(J.matrix)
-    Z = np.empty_like(WJ)
+    Z = W.matmul(J.matrix)  # W J, overwritten by Z one label block at a time
     for _, start, dg, mg in W.layout:
         sl = slice(start, start + dg * mg)
         Wg = W.take_rows(sl).reshape(mg, -1)  # row p holds the rows (p, q) for all q
-        X = WJ[sl].reshape(mg, -1) @ Wg.conj().T / dg
+        X = Z[sl].reshape(mg, -1) @ Wg.conj().T / dg
         Z[sl] = (X @ Wg).reshape(dg * mg, -1)
     return ChoiMatrix(n_out=J.n_out, m_in=J.m_in, d=J.d,
                       matrix=W.matmul(Z, adjoint=True))

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._arrays import group, readonly
 from .staircase import Staircase, dim, interlaces, validate
 
 GTPattern = tuple[tuple[int, ...], ...]
@@ -109,8 +110,7 @@ def pattern_weights(gamma: Staircase) -> np.ndarray:
             np.column_stack([pattern_weights(mu),
                              np.full(dim(mu), sum(gamma) - sum(mu), dtype=np.int64)])
             for mu in interlacing_set(gamma)])
-    out.setflags(write=False)
-    return out
+    return readonly(out)[0]
 
 
 def index_of(pattern: GTPattern) -> int:
@@ -188,13 +188,6 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
 def _by_weight(gamma: Staircase) -> _Weights:
     """_Weights of the GT patterns of gamma; every array is read-only."""
     pw = pattern_weights(gamma)
-    _, of, count = np.unique(_row_keys(pw), return_inverse=True, return_counts=True)
-    of = of.reshape(-1)
-    order = np.argsort(of, kind="stable")
-    first = np.cumsum(count) - count
-    rank = np.empty(len(of), dtype=np.intp)
-    rank[order] = np.arange(len(of)) - np.repeat(first, count)
-    out = _Weights(pw[order[first]], of, rank, order, first, count)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    of = np.unique(_row_keys(pw), return_inverse=True)[1].reshape(-1)
+    order, first, count, rank = group(of)
+    return _Weights(*readonly(pw[order[first]], of, rank, order, first, count))

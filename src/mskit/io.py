@@ -126,13 +126,13 @@ def _read_dense(lines: Iterator[str], dim_rows: int, dim_cols: int) -> np.ndarra
     return matrix
 
 
-def _header_sizes(header: str, kind: str, count: int) -> list[int]:
-    """The integer fields of a "mskit-matrix 1 <kind> ..." header line."""
-    head = header.split()
-    if head[:3] != [MAGIC, VERSION, kind] or len(head) != 3 + count:
+def _header_sizes(header: str, count: int, kind: str | None = None) -> list[int]:
+    """The count integer fields of a "mskit-matrix 1 [<kind>] ..." header line."""
+    head, lead = header.split(), [MAGIC, VERSION] + ([kind] if kind else [])
+    if head[:len(lead)] != lead or len(head) != len(lead) + count:
         raise ValueError(f"bad header: {header!r}")
     try:
-        return [int(x) for x in head[3:]]
+        return [int(x) for x in head[len(lead):]]
     except ValueError:
         raise ValueError(f"bad header: {header!r} needs integer sizes") from None
 
@@ -140,7 +140,7 @@ def _header_sizes(header: str, kind: str, count: int) -> list[int]:
 def write_schur(f: TextIO, W: SchurTransform) -> None:
     f.write(f"{MAGIC} {VERSION} {W.n} {W.m} {W.d}\n")
     f.write(W.factor_order + "\n")
-    for g, q, p in W.basis:
+    for g, q, p in row_labels(W.n, W.m, W.d):
         f.write(f"gamma={format_staircase(g)} q={q} p={p}\n")
     for a in range(0, W.size, 64):  # 64 rows of W at a time, never the dense W
         _write_rows(f, W.take_rows(slice(a, a + 64)))
@@ -157,10 +157,7 @@ def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:
     """
     lines = _lines(f)
     header = next(lines, "")
-    head = header.split()
-    if head[:2] != [MAGIC, VERSION] or len(head) != 5:
-        raise ValueError(f"bad header: {header!r}")
-    n, m, d = (int(x) for x in head[2:])
+    n, m, d = _header_sizes(header, 3)
     if n < 0 or m < 0 or d < 1:
         raise ValueError(f"bad header: {header!r} needs n, m >= 0 and d >= 1")
     check_cap(d, n + m, cap)
@@ -209,7 +206,7 @@ def read_choi(f: TextIO, cap: int = DEFAULT_CAP) -> ChoiMatrix:
     """
     lines = _lines(f)
     header = next(lines, "")
-    m, n, d = _header_sizes(header, "choi", 3)
+    m, n, d = _header_sizes(header, 3, "choi")
     if m < 0 or n < 0 or d < 1:
         raise ValueError(f"bad header: {header!r} needs m, n >= 0 and d >= 1")
     check_cap(d, m + n, cap)
@@ -231,7 +228,7 @@ def read_matrix(f: TextIO, cap: int = DEFAULT_CAP) -> np.ndarray:
     """
     lines = _lines(f)
     header = next(lines, "")
-    (dim,) = _header_sizes(header, "matrix", 1)
+    (dim,) = _header_sizes(header, 1, "matrix")
     if dim < 1:
         raise ValueError(f"bad header: {header!r} needs dim >= 1")
     if dim > cap:

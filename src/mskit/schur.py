@@ -63,8 +63,9 @@ import numpy as np
 import scipy.sparse
 
 from . import brauer
-from .bratteli import DEFAULT_CAP, check_cap, parse_factor_order, row_labels, row_layout
-from .cg import CGTransform, cg_transform
+from ._arrays import group, ranges, readonly
+from .bratteli import DEFAULT_CAP, check_cap, parse_factor_order, row_layout
+from .cg import cg_transform
 from .gelfand import _by_weight, pattern_weights
 from .staircase import Staircase
 
@@ -165,15 +166,14 @@ class SchurTransform:
             raise ValueError(f"data of shape {data.shape} does not fit the weight sectors")
         if data.base is not None:
             data = data.copy()
-        data.setflags(write=False)
+        readonly(data)
         if off is not None and not off.nnz:
             off = None
         if off is not None:
             if off.shape != (self.size,) * 2:
                 raise ValueError(f"off of shape {off.shape} does not fit W")
             off = scipy.sparse.csr_matrix(off)  # taken over, as data is
-            for a in (off.data, off.indices, off.indptr):
-                a.setflags(write=False)
+            readonly(off.data, off.indices, off.indptr)
         bounds = index.bounds.tolist()
         blocks = tuple(data[a:b].reshape(len(r), len(c)) for a, b, r, c in zip(
             bounds[:-1], bounds[1:], index.rows, index.cols))
@@ -247,9 +247,7 @@ class SchurTransform:
         off = scipy.sparse.csr_matrix((v, (r, c)), shape=(size, size))
         zeros = None
         if len(keys):
-            zeros = (np.concatenate([[0], np.cumsum(per_row)]), keys)
-            for z in zeros:
-                z.setflags(write=False)
+            zeros = readonly(np.concatenate([[0], np.cumsum(per_row)]), keys)
         return cls(n, m, d, factor_order, data, path_of, off, zeros)
 
     @property
@@ -263,29 +261,18 @@ class SchurTransform:
     @property
     def matrix(self) -> np.ndarray:
         """W as a dense, read-only D x D array, assembled on each access."""
-        M = self.take_rows(slice(None))
-        M.setflags(write=False)
-        return M
+        return readonly(self.take_rows(slice(None)))[0]
 
     @property
     def layout(self) -> tuple[tuple[Staircase, int, int, int], ...]:
         """(gamma, start, dim, mult) of each label block: row_layout(n, m, d)."""
         return row_layout(self.n, self.m, self.d)
 
-    @cached_property
-    def basis(self) -> list[tuple[Staircase, int, int]]:
-        """(staircase, GT index, path index) of every row, in row order."""
-        return row_labels(self.n, self.m, self.d)
-
     def row_index(self, gamma: Staircase, q: int, p: int) -> int:
         for g, start, dg, mg in self.layout:
             if g == tuple(gamma) and q in range(dg) and p in range(mg):
                 return start + p * dg + q
         raise ValueError(f"no basis label ({gamma}, q={q}, p={p})")
-
-    def census(self) -> list[tuple[Staircase, int, int]]:
-        """(gamma, dim, mult) of each label block, in row order."""
-        return [(g, dg, mg) for g, _, dg, mg in self.layout]
 
     @cached_property
     def _diagram_index(self) -> _DiagramIndex:
@@ -306,11 +293,10 @@ class SchurTransform:
 
         # the rows (a, b) of every flat entry, and their labels
         s = row_sector[rows]
-        at, j = _runs(first[s], first[s] + size[s])
+        j, at = ranges(size[s], first[s])
         a, b = rows[j], rows[at]
         dims, mults = (np.array([x[i] for x in self.layout]) for i in (2, 3))
-        label_block = np.repeat(np.arange(len(dims)), dims * mults)
-        local = np.arange(self.size) - np.repeat([x[1] for x in self.layout], dims * mults)
+        label_block, local = ranges(dims * mults)  # the label blocks lie end to end
         p, q = np.divmod(local, dims[label_block])  # row start + p dim + q
         same = label_block[a] == label_block[b]
         fit_at = np.flatnonzero(same)
@@ -322,11 +308,7 @@ class SchurTransform:
         x_blocks = tuple((g, int(x), mg) for (g, _, _, mg), x in zip(self.layout, x_start))
         tables = _DiagramIndex(tuple(groups), size, start, index.col_rank, np.flatnonzero(~same),
                                fit_at, fit_to, scale, x_blocks)
-        for t in tables:
-            if isinstance(t, np.ndarray):
-                t.setflags(write=False)
-        for *_, at in groups:
-            at.setflags(write=False)
+        readonly(*(t for t in tables if isinstance(t, np.ndarray)), *(g[-1] for g in groups))
         return tables
 
     def take_rows(self, index, adjoint: bool = False) -> np.ndarray:
@@ -358,7 +340,7 @@ class SchurTransform:
             put(j + a, cols, self.data[at])
             if self._zeros is not None:
                 indptr, keys = self._zeros
-                at, j = _runs(indptr[chunk], indptr[chunk + 1])
+                j, at = ranges(indptr[chunk + 1] - indptr[chunk], indptr[chunk])
                 put(j + a, keys[at] >> 2, zeros[keys[at] & 3])
         if self.off is not None:
             E = self.off[rows].tocoo()
@@ -423,47 +405,28 @@ def _sector_layout(n: int, m: int, d: int,
     sectors = weights, row_sector, col_sector = weight_sectors(n, m, d, factor_order)
 
     def by_sector(s):
-        order = np.argsort(s, kind="stable")
-        order.setflags(write=False)
-        counts = np.bincount(s, minlength=len(weights))
-        firsts = np.cumsum(counts) - counts
-        rank = np.empty(len(s), dtype=np.intp)  # position of each index in its sector
-        rank[order] = np.arange(len(s)) - np.repeat(firsts, counts)
-        return order, counts, firsts, rank, tuple(
-            order[a:a + c] for a, c in zip(firsts.tolist(), counts.tolist()))
+        order, first, count, rank = group(s, len(weights))
+        readonly(order)
+        return order, first, count, rank, tuple(
+            order[a:a + c] for a, c in zip(first.tolist(), count.tolist()))
 
-    _, n_rows, _, row_rank, rows = by_sector(row_sector)
-    col_order, n_cols, col_firsts, col_rank, cols = by_sector(col_sector)
+    _, _, n_rows, row_rank, rows = by_sector(row_sector)
+    col_order, col_firsts, n_cols, col_rank, cols = by_sector(col_sector)
     bounds = np.concatenate([[0], np.cumsum(n_rows * n_cols)])
     row_count = n_cols[row_sector]
     index = _SectorIndex(rows, cols, bounds, col_order,
                          bounds[row_sector] + row_rank * row_count, row_count,
                          col_firsts[row_sector], col_rank)
-    for a in index[2:]:
-        a.setflags(write=False)
+    readonly(*index[2:])
     return sectors, index
-
-
-def _runs(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(at, j): the ranges start[i] .. stop[i] - 1 one after another in at,
-    and the i of each entry in j."""
-    count = stop - start
-    j = np.repeat(np.arange(len(count)), count)
-    return (start - (np.cumsum(count) - count))[j] + np.arange(len(j)), j
 
 
 def _row_runs(index: _SectorIndex, rows: np.ndarray):
     """(at, cols, j): row rows[j[s]] of W has the entry data[at[s]] in column
     cols[s], the runs of the rows one after another."""
     start = index.row_start[rows]
-    at, j = _runs(start, start + index.row_count[rows])
+    j, at = ranges(index.row_count[rows], start)
     return at, index.col_order[at + (index.row_first[rows] - start)[j]], j
-
-
-def _cut(t: CGTransform):
-    """The coupling t cut into its blocks between weights: t.legs, made once
-    per coupling."""
-    return t.legs
 
 
 def _leg_states(states: dict, sign: int, d: int):
@@ -537,10 +500,9 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
                                       zip(map(tuple, x.weights.tolist()), x.count.tolist())}
         # one GEMM per (staircase, weight), over all of its paths at once
         for g, t in couplings.items():
-            cut = _cut(t)
             if last:
                 starts = row_start(g, t, len(paths[g]))
-            for w, AT, rows, value, parts in zip(*cut):
+            for w, AT, rows, value, parts in zip(*t.legs):
                 S = blocks[g][w]
                 s, c = S.shape[:2]
                 G = (S.reshape(s * c, -1) @ AT).reshape(s, c, -1)
@@ -578,17 +540,13 @@ def _last_leg(n, m, d, order, ends, seg):
         first_row[g][rank] = start + dg * np.arange(len(found))
 
     index = _sector_layout(n, m, d, order)[1]
-    widths = np.array([len(c) for c in index.cols])
-    col_rank = np.empty(d ** (n + m), dtype=np.intp)
-    col_rank[index.col_order] = np.arange(len(col_rank)) - np.repeat(
-        np.cumsum(widths) - widths, widths)
 
     def row_start(g, t, s):
         rows = [first_row[target][seg[g, target]:seg[g, target] + s, None] + np.arange(size)
                 for target, _, size in t.output_blocks]
         return index.row_start[np.concatenate(rows, axis=1)]
 
-    return path_of, np.zeros(index.bounds[-1]), col_rank, row_start
+    return path_of, np.zeros(index.bounds[-1]), index.col_rank, row_start
 
 
 # -- applying mixed tensor operators ------------------------------------------
@@ -785,8 +743,7 @@ def weight_sectors(n: int, m: int, d: int,
     col_w = computational_weights(d, factor_order)
     weights, sector = np.unique(np.vstack([row_w, col_w]), axis=0, return_inverse=True)
     sector = sector.reshape(-1)
-    for a in (weights, sector):
-        a.setflags(write=False)
+    readonly(weights, sector)
     return weights, sector[:size], sector[size:]
 
 

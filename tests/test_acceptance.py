@@ -208,6 +208,7 @@ def test_criterion_10_ptpqp_oracle():
     for (n, m, d) in [(1, 1, 2), (2, 1, 2)]:
         diagrams = brauer.all_diagrams(n, m)
         W = transform(n, m, d)
+        labels = bratteli.row_labels(n, m, d)
         for _ in range(5):
             picks = rng.choice(len(diagrams), size=2, replace=False)
             coeffs = rng.standard_normal(2)
@@ -218,8 +219,8 @@ def test_criterion_10_ptpqp_oracle():
             H = sum(c * brauer.represent(s, d).toarray() for c, s in terms)
             t = float(rng.uniform(0.1, 2.0))
             M = W.matrix @ scipy.linalg.expm(-1j * t * H) @ W.matrix.conj().T
-            for frm in [W.basis[0], W.basis[-1]]:
-                for to in [W.basis[0], W.basis[len(W.basis) // 2], W.basis[-1]]:
+            for frm in [labels[0], labels[-1]]:
+                for to in [labels[0], labels[len(labels) // 2], labels[-1]]:
                     got = ptpqp_amplitude(n, m, d, terms, t, frm, to)
                     want = abs(M[W.row_index(*to), W.row_index(*frm)]) ** 2
                     worst = max(worst, abs(got - want))

@@ -11,6 +11,7 @@ import pytest
 
 import mskit
 from mskit import io as mio
+from mskit.bratteli import row_labels
 from mskit.cli import main
 from mskit.rand import random_density, rng_from_seed
 from mskit.schur import SchurTransform
@@ -441,7 +442,7 @@ def test_verify_file_with_complex_phases(tmp_path, capsys):
     rng = rng_from_seed(35)
     theta = {}
     phases = np.array([np.exp(1j * theta.setdefault((g, p), rng.uniform(-np.pi, np.pi)))
-                       for g, _, p in W.basis])
+                       for g, _, p in row_labels(W.n, W.m, W.d)])
     W = SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, phases[:, None] * W.matrix)
     f.write_text(mio.dumps(mio.write_schur, W))
     code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "5")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mskit.bratteli import CapExceeded
+from mskit.bratteli import CapExceeded, row_labels
 from mskit.channels import example_channel
 from mskit.io import (_read_dense, _write_rows, dumps, read_choi, read_matrix,
                       read_schur, write_choi, write_matrix, write_schur)
@@ -21,7 +21,7 @@ def test_schur_round_trip():
     text = dumps(write_schur, W)
     W2 = read_schur(io.StringIO(text))
     assert (W2.n, W2.m, W2.d, W2.factor_order) == (2, 1, 2, "++-")
-    assert W2.basis == W.basis
+    assert row_labels(W2.n, W2.m, W2.d) == row_labels(W.n, W.m, W.d)
     assert np.array_equal(W2.matrix, W.matrix)
 
 
@@ -97,6 +97,8 @@ MALFORMED_SCHUR = {
     "bad factor order": (_replaced(_L, 1, "++"), "factor order"),
     "missing factor order": (_L[:1], "factor order"),
     "negative n": (_replaced(_L, 0, "mskit-matrix 1 -1 1 2"), "bad header"),
+    "non-integer size": (_replaced(_L, 0, "mskit-matrix 1 1 1 x"),
+                         "bad header: .* needs integer sizes"),
     "over the cap": (["mskit-matrix 1 40 40 3"], "exceeds cap"),
 }
 # a bad token among the 0.0,0.0 tokens of a mostly zero row must be named

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mskit import brauer
+from mskit import bratteli, brauer
 from mskit.rand import rng_from_seed
 from mskit.schur import build_mixed_schur, ptpqp_amplitude
 
@@ -50,7 +50,7 @@ def test_amplitudes_match_expm(n, m, d, order):
         t = float(rng.uniform(0.2, 2.0))
         H = sum(c * dense_in_order(s, d, order) for c, s in terms)
         M = W.matrix @ scipy.linalg.expm(-1j * t * H) @ W.matrix.T
-        for g, dg, mg in W.census():
+        for g, _, dg, mg in W.layout:
             q = int(rng.integers(dg))
             for p_from in range(min(mg, 3)):
                 for p_to in range(min(mg, 3)):
@@ -69,7 +69,7 @@ def test_amplitude_is_exactly_zero_across_gamma_or_q(n, m, d, order):
     t = 0.9
     H = sum(c * dense_in_order(s, d, W.factor_order) for c, s in terms)
     M = W.matrix @ scipy.linalg.expm(-1j * t * H) @ W.matrix.T
-    census = W.census()
+    census = bratteli.census(n, m, d)
     pairs = []
     for (g, dg, mg), (h, _, _) in zip(census, census[1:] + census[:1]):
         if g != h:
@@ -87,7 +87,8 @@ def test_nonhermitian_raises_before_any_shortcut():
     # D = 27; the check runs before labels from different sectors return 0
     n, m, d = 2, 1, 3
     W = build_mixed_schur(n, m, d)
-    (g, _, _), (h, _, _) = W.census()[0], W.census()[-1]
+    census = bratteli.census(n, m, d)
+    (g, _, _), (h, _, _) = census[0], census[-1]
     swap = brauer.from_permutation((1, 0, 2), n, m)
     cycle = brauer.from_permutation((1, 2, 0), n, m)
     for terms in ([(1.0j, swap)], [(0.5, cycle)]):
@@ -98,7 +99,7 @@ def test_nonhermitian_raises_before_any_shortcut():
 
 def test_unknown_labels_raise():
     terms = [(1.0, brauer.identity(2, 1))]
-    good = build_mixed_schur(2, 1, 3).basis[0]
+    good = bratteli.row_labels(2, 1, 3)[0]
     for bad in [((9, 9, 9), 0, 0), (good[0], 99, 0), (good[0], 0, 99)]:
         for frm, to in [(bad, good), (good, bad)]:
             with pytest.raises(ValueError, match="no basis label"):

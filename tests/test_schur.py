@@ -26,7 +26,7 @@ def kron_all(mats):
 def test_one_dimensional_qudits():
     # d = 1: every irrep is a determinant power; the transform is trivial
     W = build_mixed_schur(2, 1, 1)
-    assert W.basis == [((1,), 0, 0)]
+    assert bratteli.row_labels(W.n, W.m, W.d) == [((1,), 0, 0)]
     assert W.matrix.shape == (1, 1) and W.matrix[0, 0] == 1.0
     rep = verify_blockdiag(W, haar_unitary(1, rng_from_seed(0)))
     assert rep.off_block_residual < 1e-14
@@ -36,7 +36,7 @@ def test_one_dimensional_qudits():
 def test_one_dimensional_qudits_past_the_default_cap():
     # 14 legs at d = 1 need a cap of 2^14; the Brauer check admits W's shape
     W = build_mixed_schur(8, 6, 1, cap=1 << 14)
-    assert W.basis == [((2,), 0, 0)]
+    assert bratteli.row_labels(W.n, W.m, W.d) == [((2,), 0, 0)]
     rep = verify_brauer(W, brauer.identity(8, 6))
     assert rep.off_block_residual == 0.0 and rep.structure_residual == 0.0
 
@@ -44,10 +44,10 @@ def test_one_dimensional_qudits_past_the_default_cap():
 def test_single_leg_transforms():
     W = build_mixed_schur(1, 0, 3)
     assert np.allclose(W.matrix, np.eye(3))
-    assert W.basis == [((1, 0, 0), q, 0) for q in range(3)]
+    assert bratteli.row_labels(W.n, W.m, W.d) == [((1, 0, 0), q, 0) for q in range(3)]
 
     W = build_mixed_schur(0, 1, 3)
-    assert W.basis == [((0, 0, -1), q, 0) for q in range(3)]
+    assert bratteli.row_labels(W.n, W.m, W.d) == [((0, 0, -1), q, 0) for q in range(3)]
     # a single dual leg maps |i> to the weight -e_{i+1} label, up to sign
     assert np.allclose(np.abs(W.matrix), np.eye(3)[:, ::-1])
     rep = verify_blockdiag(W, haar_unitary(3, rng_from_seed(1)))
@@ -72,20 +72,20 @@ def test_factor_order_validation():
 def test_labels_match_census():
     for n, m, d in [(2, 1, 2), (2, 2, 2), (2, 2, 3), (1, 1, 4), (3, 0, 2)]:
         W = build_mixed_schur(n, m, d)
-        assert W.census() == bratteli.census(n, m, d)
+        assert [(g, dg, mg) for g, _, dg, mg in W.layout] == bratteli.census(n, m, d)
 
 
 def test_census_is_order_independent():
     for order in set(itertools.permutations("++--")):
         W = build_mixed_schur(2, 2, 2, "".join(order))
-        assert W.census() == bratteli.census(2, 2, 2)
+        assert [(g, dg, mg) for g, _, dg, mg in W.layout] == bratteli.census(2, 2, 2)
 
 
 def test_paths_match_bratteli_order():
     for n, m, d in [(2, 1, 2), (2, 2, 2), (2, 2, 3)]:
         W = build_mixed_schur(n, m, d)
         diag = bratteli.build(n, m, d)
-        for g, dg, mg in W.census():
+        for g, _, dg, mg in W.layout:
             expected = [p.vertices for p in bratteli.paths_to(diag, g)]
             got = [W.path_of[(g, p)] for p in range(mg)]
             assert got == expected
@@ -224,6 +224,7 @@ def test_ptpqp_matches_expm(n, m, d):
     rng = rng_from_seed(12)
     diagrams = brauer.all_diagrams(n, m)
     W = build_mixed_schur(n, m, d)
+    labels = bratteli.row_labels(n, m, d)
     for _ in range(3):
         picks = rng.choice(len(diagrams), size=2, replace=False)
         coeffs = rng.standard_normal(2)
@@ -232,8 +233,8 @@ def test_ptpqp_matches_expm(n, m, d):
         t = 0.7
         expH = scipy.linalg.expm(-1j * t * H)
         M = W.matrix @ expH @ W.matrix.conj().T
-        for frm in [W.basis[0], W.basis[-1]]:
-            for to in [W.basis[0], W.basis[len(W.basis) // 2]]:
+        for frm in [labels[0], labels[-1]]:
+            for to in [labels[0], labels[len(labels) // 2]]:
                 got = ptpqp_amplitude(n, m, d, terms, t, frm, to)
                 want = abs(M[W.row_index(*to), W.row_index(*frm)]) ** 2
                 assert got == pytest.approx(want, abs=1e-10)
@@ -241,7 +242,7 @@ def test_ptpqp_matches_expm(n, m, d):
 
 def test_ptpqp_trivial_cases():
     W = build_mixed_schur(1, 1, 2)
-    lab0, lab1 = W.basis[0], W.basis[1]
+    lab0, lab1 = bratteli.row_labels(1, 1, 2)[:2]
     e = brauer.identity(1, 1)
     assert ptpqp_amplitude(1, 1, 2, [(1.0, e)], 0.0, lab0, lab0) == pytest.approx(1.0)
     assert ptpqp_amplitude(1, 1, 2, [(1.0, e)], 0.0, lab0, lab1) == pytest.approx(0.0)
@@ -256,8 +257,9 @@ def test_ptpqp_cupcap_against_direct():
     H = brauer.represent(cc, 2).toarray().astype(float)
     expH = scipy.linalg.expm(-1j * t * H)
     M = W.matrix @ expH @ W.matrix.conj().T
-    for frm in W.basis:
-        for to in W.basis:
+    labels = bratteli.row_labels(1, 1, 2)
+    for frm in labels:
+        for to in labels:
             got = ptpqp_amplitude(1, 1, 2, [(1.0, cc)], t, frm, to)
             want = abs(M[W.row_index(*to), W.row_index(*frm)]) ** 2
             assert got == pytest.approx(want, abs=1e-10)
@@ -280,7 +282,7 @@ def block_phased(W, seed, per="gamma, p"):
     theta = {}
     key = (lambda g, q, p: (g, p)) if per == "gamma, p" else (lambda g, q, p: (g, q))
     phases = np.array([np.exp(1j * theta.setdefault(key(*lab), rng.uniform(-np.pi, np.pi)))
-                       for lab in W.basis])
+                       for lab in bratteli.row_labels(W.n, W.m, W.d)])
     return SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, phases[:, None] * W.matrix)
 
 
@@ -403,11 +405,11 @@ def test_labels_come_from_the_row_layout():
 
     for order in ("++--", "+-+-", "--++"):
         W = build_mixed_schur(2, 2, 2, order)
-        assert W.basis == row_labels(2, 2, 2)
-        assert [W.row_index(*lab) for lab in W.basis] == list(range(W.size))
+        assert W.layout == bratteli.row_layout(2, 2, 2)
+        assert [W.row_index(*lab) for lab in row_labels(2, 2, 2)] == list(range(W.size))
     with pytest.raises(TypeError):
         schur.SchurTransform(n=1, m=1, d=2, factor_order="+-", data=np.ones(4),
-                             basis=W.basis)
+                             basis=row_labels(2, 2, 2))
     with pytest.raises(ValueError, match="does not fit"):
         schur.SchurTransform.from_matrix(1, 1, 2, "+-", np.eye(3))
     with pytest.raises(ValueError, match="does not fit"):

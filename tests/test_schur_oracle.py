@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mskit import schur
+from mskit.bratteli import row_labels
 from mskit.brauer import all_diagrams, from_permutation
 from mskit.cg import cg_transform
 from mskit.gelfand import enumerate_patterns, pattern_weight
@@ -63,7 +64,8 @@ def einsum_cascade(n, m, d, order):
 
 def dense_weights(W):
     """(row weights, column weights) as float arrays of shape (D, d)."""
-    rows = np.array([pattern_weight(enumerate_patterns(g)[q]) for g, q, _ in W.basis])
+    rows = np.array([pattern_weight(enumerate_patterns(g)[q])
+                     for g, q, _ in row_labels(W.n, W.m, W.d)])
     cols = np.zeros((W.size, W.d))
     reps = W.size
     for kind in W.factor_order:
@@ -109,7 +111,7 @@ def built(request):
 
 def test_build_matches_einsum_cascade(built):
     W, (oracle, basis) = built
-    assert W.basis == basis
+    assert row_labels(W.n, W.m, W.d) == basis
     assert np.abs(W.matrix - oracle).max() <= 1e-15
 
 
@@ -191,12 +193,13 @@ def dense_block_residuals(W, A, extract):
     entries).
     """
     M = W.matrix @ A @ W.matrix.conj().T
-    gammas = sorted({g for g, _, _ in W.basis})
-    gid = np.array([gammas.index(g) for g, _, _ in W.basis])
+    basis = row_labels(W.n, W.m, W.d)
+    gammas = sorted({g for g, _, _ in basis})
+    gid = np.array([gammas.index(g) for g, _, _ in basis])
     off = float(np.abs(M[gid[:, None] != gid[None, :]]).max(initial=0.0))
     struct, blocks = 0.0, {}
     for g in gammas:
-        labels = [(q, p, k) for k, (gg, q, p) in enumerate(W.basis) if gg == g]
+        labels = [(q, p, k) for k, (gg, q, p) in enumerate(basis) if gg == g]
         dg = 1 + max(q for q, _, _ in labels)
         mg = 1 + max(p for _, p, _ in labels)
         idx = np.empty((mg, dg), dtype=int)

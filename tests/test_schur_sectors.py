@@ -281,7 +281,7 @@ def test_a_cascade_wrong_inside_its_sectors_fails_verify(monkeypatch, capsys):
     # product stays inside the sectors, so the weight check passes and the
     # Haar checks must fail
     W = build_mixed_schur(2, 2, 2)
-    cut_, swapped = schur._cut, []
+    cut_, swapped = cg._cut, []
 
     def swapping(t):
         cut = cut_(t)
@@ -295,13 +295,18 @@ def test_a_cascade_wrong_inside_its_sectors_fails_verify(monkeypatch, capsys):
                 return cut._replace(AT=AT)
         return cut
 
-    monkeypatch.setattr(schur, "_cut", swapping)
-    V = build_mixed_schur(2, 2, 2)
-    assert swapped == [((1, 0), (0, 1), (1, 0))]
-    assert V.off is None and weight_check(V) == 0.0
-    assert np.abs(V.data - W.data).max() > 0.1
-    swapped.clear()
-    assert main(["verify", "2", "2", "2", "--trials", "1"]) == 1
+    # a coupling keeps its cut once made, so the swapped cuts are made on
+    # couplings built afresh, and dropped with them afterwards
+    cg.clear_cache()
+    monkeypatch.setattr(cg, "_cut", swapping)
+    try:
+        V = build_mixed_schur(2, 2, 2)
+        assert swapped == [((1, 0), (0, 1), (1, 0))]
+        assert V.off is None and weight_check(V) == 0.0
+        assert np.abs(V.data - W.data).max() > 0.1
+        assert main(["verify", "2", "2", "2", "--trials", "1"]) == 1
+    finally:
+        cg.clear_cache()
     lines = dict(line.rsplit(": ", 1) for line in capsys.readouterr().out.splitlines())
     for haar in ("block off-diagonal", "multiplicity structure"):
         assert lines[haar].endswith("FAIL"), lines
