@@ -169,7 +169,8 @@ def row_layout(n: int, m: int, d: int) -> tuple[tuple[Staircase, int, int, int],
     for g in sorted(counts):
         blocks.append((g, start, dim(g), counts[g]))
         start += dim(g) * counts[g]
-    assert start == d ** (n + m)
+    if start != d ** (n + m):
+        raise RuntimeError(f"label blocks cover {start} rows, not d^(n+m) = {d ** (n + m)}")
     return tuple(blocks)
 
 

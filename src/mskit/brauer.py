@@ -118,7 +118,8 @@ def partial_transpose(sigma: WalledBrauerDiagram) -> tuple[int, ...]:
     perm = [-1] * N
     for a in range(N):
         y = swapped[a]
-        assert y >= N, "transpose of a walled diagram is always a permutation wiring"
+        if y < N:
+            raise RuntimeError("transpose of a walled diagram is always a permutation wiring")
         perm[a] = y - N
     return tuple(perm)
 

@@ -57,7 +57,8 @@ def enumerate_patterns(gamma: Staircase) -> tuple[GTPattern, ...]:
             out.append((gamma,) + sub)
     out.sort(key=_flat, reverse=True)
     pats = tuple(out)
-    assert len(pats) == dim(gamma)
+    if len(pats) != dim(gamma):
+        raise RuntimeError(f"{len(pats)} GT patterns of {gamma}, not dim = {dim(gamma)}")
     return pats
 
 
@@ -152,7 +153,9 @@ def subduce(gamma: Staircase) -> tuple[tuple[Staircase, int, int], ...]:
         c = dim(mu)
         out.append((mu, offset, c))
         offset += c
-    assert offset == dim(gamma)
+    if offset != dim(gamma):
+        raise RuntimeError(f"subduction of {gamma} covers {offset} patterns, "
+                           f"not dim = {dim(gamma)}")
     return tuple(out)
 
 

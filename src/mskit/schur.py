@@ -279,17 +279,14 @@ class SchurTransform:
         """The tables of _DiagramIndex for this transform's shape, read-only."""
         index, row_sector = self._index, self.sectors[1]
         size = np.array([len(r) for r in index.rows])
-        order = np.argsort(size, kind="stable")
-        start, first = np.empty_like(size), np.empty_like(size)
-        start[order] = np.cumsum(size[order] ** 2) - size[order] ** 2
-        first[order] = np.cumsum(size[order]) - size[order]
+        order, by_size, count, rank = group(size)  # the sectors of one size lie end to end
+        area, width = count * np.arange(len(count)) ** 2, count * np.arange(len(count))
+        lo, row_lo = np.cumsum(area) - area, np.cumsum(width) - width
+        start, first = lo[size] + rank * size ** 2, row_lo[size] + rank * size
         rows = np.concatenate([index.rows[k] for k in order])
-        groups = []
-        for r in np.unique(size[size > 0]).tolist():
-            ks = order[size[order] == r]
-            lo = int(start[ks[0]])
-            at = (index.bounds[ks][:, None] + np.arange(r * r)).ravel()
-            groups.append((r, lo, lo + len(ks) * r * r, at))
+        groups = [(r, int(lo[r]), int(lo[r] + area[r]),
+                   (index.bounds[order[by_size[r]:by_size[r] + count[r]]][:, None]
+                    + np.arange(r * r)).ravel()) for r in np.flatnonzero(count).tolist() if r]
 
         # the rows (a, b) of every flat entry, and their labels
         s = row_sector[rows]

@@ -91,7 +91,8 @@ def dim(gamma: Staircase) -> int:
             num *= gamma[i] - gamma[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise RuntimeError(f"Weyl dimension formula of {gamma} is not an integer")
     return q
 
 

@@ -16,6 +16,7 @@ from mskit.cli import main
 from mskit.rand import random_density, rng_from_seed
 from mskit.schur import SchurTransform
 
+import matrix_files
 from test_schur import splits_made  # noqa: F401  (fixture)
 
 
@@ -141,10 +142,8 @@ def test_verify_corrupted_file(tmp_path, capsys):
     f = tmp_path / "w"
     run(capsys, "schur", "2", "1", "2", "--out", str(f))
     lines = f.read_text().splitlines()
-    # corrupt one matrix entry
-    row = lines[10].split()
-    row[0] = "0.5,0.0"
-    lines[10] = " ".join(row)
+    # corrupt one matrix entry: row 0, column 0
+    lines[2] = matrix_files.set_entry(lines[2], 0, "0.5,0.0")
     f.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "3")
     assert code == 1
@@ -158,9 +157,7 @@ def test_verify_fails_a_nan_inside_a_sector(tmp_path, capsys):
     W = mio.read_schur(io.StringIO(f.read_text()))
     assert W.sectors[1][1] == W.sectors[2][4]  # entry (1, 4) lies inside a sector
     lines = f.read_text().splitlines()
-    row = lines[2 + W.size + 1].split()
-    row[4] = "nan,0.0"
-    lines[2 + W.size + 1] = " ".join(row)
+    lines[2 + 1] = matrix_files.set_entry(lines[2 + 1], 4, "nan,0.0")
     f.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "--file", str(f), "--trials", "3")
     assert code == 1
@@ -349,7 +346,9 @@ def test_ptpqp_command(capsys):
 def test_verify_malformed_file_is_one_line_error(tmp_path, capsys, edit):
     f = tmp_path / "w"
     run(capsys, "schur", "1", "1", "2", "--out", str(f))
-    lines = f.read_text().splitlines()
+    # a version-1 file, whose label lines are edited
+    lines = matrix_files.dumps(matrix_files.write_schur,
+                               mio.read_schur(io.StringIO(f.read_text()))).splitlines()
     if edit == "q beyond dim":
         lines[2] = "gamma=[0,0] q=5 p=0"
     elif edit == "no gamma":
@@ -375,7 +374,7 @@ def test_channel_malformed_file_is_one_line_error(tmp_path, capsys, target, edit
     if edit == "empty":
         lines = []
     elif edit == "bad header":
-        lines[0] = lines[0].replace("1", "one")
+        lines[0] = lines[0].replace(" 2 ", " two ", 1)  # the version field
     else:
         lines[1] = lines[1].replace(",", "", 1)
     files[target].write_text("".join(line + "\n" for line in lines))
@@ -486,3 +485,14 @@ def test_channel_example_non_finite_is_one_line_error(tmp_path, capsys, schur):
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "finite" in err
     assert not out_file.exists()
+
+
+def test_src_has_no_assert_statement():
+    # an assert vanishes under python -O, and its AssertionError would escape
+    # main's one-line error as a traceback; internal checks raise RuntimeError
+    import ast
+
+    src = pathlib.Path(mskit.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
