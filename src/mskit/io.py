@@ -21,13 +21,16 @@ literal "0.0,0.0", and -0.0 keeps its sign ("-0.0,0.0").  A transform file
 has one label line per row before the rows, and the labels must equal
 row_labels(n, m, d), so version 2 leaves them out.
 
-write_schur formats each distinct (re, im) pair once, as long as its memo
-holds fewer than _MEMO_PAIRS pairs; then the memo starts over, so a
-transform with few repeated values (a noisy or foreign W) costs a bounded
-memo.  The memo is keyed by the bit patterns of the two float64 parts, never
-by their values, since -0.0 == 0.0 and nan != nan.  A built transform
-repeats few values.  The Choi and plain matrix writers format each entry
-once, which costs less on their dense rows than a memo does.
+Every writer hands _write_rows the (row, column, value) entries of a few
+rows: write_schur those of W.entries, so it reads no dense row, and the
+Choi and plain matrix writers every entry.  write_schur formats each
+distinct (re, im) pair once, as long as its memo holds fewer than
+_MEMO_PAIRS pairs; then the memo starts over, so a transform with few
+repeated values (a noisy or foreign W) costs a bounded memo.  The memo is
+keyed by the bit patterns of the two float64 parts, never by their values,
+since -0.0 == 0.0 and nan != nan.  A built transform repeats few values.
+The Choi and plain matrix writers format each entry once, which costs less
+on their dense rows than a memo does.
 
 The readers take a file one line at a time and parse its rows in chunks of
 about _CHUNK_ENTRIES entries through one row parser, _entries, with one
@@ -116,34 +119,35 @@ def _heads(width: int) -> tuple[str, ...]:
     return tuple(f"{c}:" for c in range(width))
 
 
-def _write_rows(f: TextIO, M: np.ndarray, spell: Spell = _spell) -> None:
-    """Write the rows of M in version 2, formatted in one pass."""
-    M = np.atleast_2d(M)
-    re = np.ascontiguousarray(M.real, dtype=float)
-    if np.iscomplexobj(M):
-        im = np.ascontiguousarray(M.imag, dtype=float)
-        r, c = np.nonzero(re.view(np.uint64) | im.view(np.uint64))
-        im = im[r, c]
-    else:  # no imaginary part to copy or scan
-        r, c = np.nonzero(re.view(np.uint64))
-        im = np.zeros(len(r))
-    tokens = spell(re[r, c], im)
+def _write_rows(f: TextIO, count: int, width: int, r: np.ndarray, c: np.ndarray,
+                v: np.ndarray, spell: Spell = _spell) -> None:
+    """Write count rows of width columns in version 2, W[r[s], c[s]] = v[s],
+    formatted in one pass: the entries with a set bit, sorted unless they are
+    row-major with increasing columns already; every other entry is +0.0."""
+    re, im = (np.asarray(part, dtype=float) for part in (v.real, v.imag))
+    keep = np.flatnonzero(re.view(np.uint64) | im.view(np.uint64))
+    place = r[keep] * width + c[keep]
+    if np.any(place[1:] <= place[:-1]):  # not row-major with increasing columns
+        keep = keep[np.argsort(place)]
+    r, c, re, im = r[keep], c[keep], re[keep], im[keep]
+    tokens = spell(re, im)
     previous = np.concatenate([[-1], c[:-1]])  # the column before each entry's
     previous[np.flatnonzero(np.diff(r, prepend=-1))] = -1  # row starts
     jumps = np.flatnonzero(c != previous + 1)
-    heads = _heads(M.shape[1])
+    heads = _heads(width)
     for k, col in zip(jumps.tolist(), c[jumps].tolist()):
         tokens[k] = heads[col] + tokens[k]
-    bounds = np.searchsorted(r, np.arange(len(M) + 1)).tolist()
+    bounds = np.searchsorted(r, np.arange(count + 1)).tolist()
     f.write("".join(" ".join(tokens[i:j]) + "\n" for i, j in zip(bounds[:-1], bounds[1:])))
 
 
 def _write_dense(f: TextIO, matrix: np.ndarray) -> None:
     """Write the rows of a Choi or plain matrix, as many at a time as hold
-    _WRITE_ENTRIES entries, all of which a dense row lists."""
+    _WRITE_ENTRIES entries."""
     step = max(1, _WRITE_ENTRIES // matrix.shape[1])
     for a in range(0, len(matrix), step):
-        _write_rows(f, matrix[a:a + step])
+        block = matrix[a:a + step]
+        _write_rows(f, *block.shape, *np.indices(block.shape).reshape(2, -1), block.ravel())
 
 
 def _lines(f: TextIO) -> Iterator[str]:
@@ -313,8 +317,9 @@ def write_schur(f: TextIO, W: SchurTransform) -> None:
     f.write(f"{MAGIC} {VERSION} {W.n} {W.m} {W.d}\n")
     f.write(W.factor_order + "\n")
     spell = _memo_spell()
-    for a in range(0, W.size, _WRITE_ROWS):  # never the dense W
-        _write_rows(f, W.take_rows(slice(a, a + _WRITE_ROWS)), spell)
+    for a in range(0, W.size, _WRITE_ROWS):  # the stored entries, never a dense row
+        rows = np.arange(a, min(a + _WRITE_ROWS, W.size))
+        _write_rows(f, len(rows), W.size, *W.entries(rows), spell)
 
 
 def read_schur(f: TextIO, cap: int = DEFAULT_CAP) -> SchurTransform:

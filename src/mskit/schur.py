@@ -22,22 +22,22 @@ data, so a build holds its sector data and about one level of the cascade.
 A SchurTransform is held in that one form: the dense block of each weight
 sector, plus the sparse part of W outside every sector (W.off), which only
 a matrix read from a file can have.  Every product against W (W.matmul)
-and every read of its rows (W.take_rows) works on the blocks; W.matrix is
+works on the blocks, and W.entries(rows), the one way out, lists what W
+stores in those rows; W.take_rows scatters it into dense rows, W.matrix is
 a dense, read-only copy assembled on each access, for tests and small
-examples; io writes a transform 64 rows at a time.  weight_check
-returns the exact random-phase Frobenius deviation from a table of squared
-entries per pair of weights, and SchurTransform.unitarity_residual is exact
-inside each sector and adds a Cauchy-Schwarz bound for the entries between
-sectors.
+examples, and io.write_schur formats the entries.  weight_check returns
+the exact random-phase Frobenius deviation from a table of squared entries
+per pair of weights, and SchurTransform.unitarity_residual is exact inside
+each sector and adds a Cauchy-Schwarz bound for the entries between sectors.
 
 A SchurTransform is an immutable value: every array it holds is read-only,
 and the arrays it is given are taken over.  A transform with another matrix
 is a new value, made from its entries by SchurTransform.from_entries, the
-one splitter of rows into sectors: each chunk of rows goes straight into the
-sector data, the nonzero entries outside every sector into W.off, and the
-signed zeros there into a small table, so no dense W is held.  io.read_schur
-feeds it the rows of a file as they are parsed, and from_matrix the rows of
-a dense matrix, a chunk at a time.
+one way in: each chunk of rows goes straight into the sector data, the
+nonzero entries outside every sector into W.off, and the signed zeros there
+into a small table, so no dense W is held.  io.read_schur feeds it the rows
+of a file as they are parsed, and from_matrix every entry of a dense
+matrix, a chunk of rows at a time.
 
 Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
@@ -135,9 +135,9 @@ class SchurTransform:
     W[rows[k], cols[k]], a view of data, which holds the blocks one after
     another.  off is the sparse part of W outside every sector, None when
     that part is zero.  build_mixed_schur gives data; from_entries splits
-    the entries of W as they come, and from_matrix a dense W.  The arrays
-    given are taken over and made read-only, data copied when it is a view
-    of another array, so no caller can change W.
+    the entries of W as they come, and from_matrix a dense W; entries lists
+    them back.  The arrays given are taken over and made read-only, data
+    copied when it is a view of another array, so no caller can change W.
     Transforms compare and hash by identity.
     """
 
@@ -186,8 +186,8 @@ class SchurTransform:
                     path_of=None) -> SchurTransform:
         """The transform of a dense W, split into its sectors once.
 
-        The rows go through from_entries, a chunk of at most _COLUMN_ENTRIES
-        entries at a time, and W keeps the matrix's float or complex dtype.
+        Every entry goes to from_entries, in chunks of whole rows of at most
+        _COLUMN_ENTRIES entries, and W keeps the matrix's float or complex dtype.
         """
         matrix = np.asarray(matrix)
         dtype = np.result_type(matrix, float)
@@ -197,9 +197,9 @@ class SchurTransform:
 
         def entries(step=max(1, _COLUMN_ENTRIES // size)):
             for a in range(0, size, step):
-                M = np.ascontiguousarray(matrix[a:a + step], dtype=dtype)
-                r, c = np.nonzero(M.view(np.uint64).reshape(len(M), size, -1).any(axis=2))
-                yield r + a, c, M[r, c]
+                M = matrix[a:a + step].astype(dtype)
+                r, c = np.indices(M.shape).reshape(2, -1)
+                yield r + a, c, M.ravel()
 
         return cls.from_entries(n, m, d, factor_order, entries(), dtype, path_of)
 
@@ -208,25 +208,27 @@ class SchurTransform:
                      dtype=None, path_of=None) -> SchurTransform:
         """The transform whose entries come in chunks, split into the sectors as they come.
 
-        entries yields (r, c, v), W[r[s], c[s]] = v[s], in row-major order;
-        every entry it leaves out is +0.0.  An entry inside its row's sector
-        goes into data, a nonzero one outside every sector into off.  The
+        entries yields (r, c, v), W[r[s], c[s]] = v[s], those outside every
+        sector row-major with no column repeated, as W.entries gives them for
+        increasing rows; every entry left out is +0.0.  An entry inside its
+        row's sector goes into data, a nonzero one outside every sector into
+        off, built as a CSR from the columns, values and counts per row.  The
         zeros there that carry a sign bit (-0.0 in either part, as a row
         phase leaves them) take part in no product but are kept, a small
-        integer each, so that W.matrix and W.take_rows give every entry back
-        bit for bit.  W has the given dtype; with None it is real when no
-        imaginary part of any entry has a set bit, and complex otherwise: data
-        is filled real and widened at the first chunk with such a bit.
-        Besides data, off and the signed zeros, one chunk is held at a time,
-        never a dense W.
+        integer each, so that W.entries gives every entry back bit for bit.
+        W has the given dtype; with None it is real when no imaginary part of
+        any entry has a set bit, and complex otherwise: data is filled real
+        and widened at the first chunk with such a bit.  Besides data, off
+        and the signed zeros, one chunk is held at a time, never a dense W.
         """
         size = d ** (n + m)
         (_, row_sector, col_sector), index = _sector_layout(n, m, d, factor_order)
         data = np.zeros(index.bounds[-1], dtype=dtype or float)
         key_type = np.min_scalar_type(4 * size)
-        none = np.empty(0, dtype=np.intp)
-        off, keys = [(none, none, data[:0])], [none.astype(key_type)]
-        per_row = np.zeros(size, dtype=np.intp)  # the signed zeros of each row
+        # the columns and values of the nonzero entries outside every sector,
+        # the keys of the signed zeros there, and the count of each per row
+        off, keys = [(np.empty(0, dtype=np.intp), data[:0])], [np.empty(0, key_type)]
+        counts = np.zeros((2, size + 1), dtype=np.intp)
         for r, c, v in entries:
             if dtype is None and data.dtype != complex:
                 if v.imag.view(np.uint64).any():
@@ -237,17 +239,18 @@ class SchurTransform:
             data[index.row_start[r[inside]] + index.col_rank[c[inside]]] = v[inside]
             r, c, v = r[~inside], c[~inside], v[~inside]
             nonzero = v != 0
-            off.append((r[nonzero], c[nonzero], v[nonzero]))
             code = np.signbit(v.real) + np.signbit(v.imag) * np.uint8(2)
             signed = ~nonzero & (code > 0)
-            per_row += np.bincount(r[signed], minlength=size)
+            for k, kept in enumerate((nonzero, signed)):
+                if kept.any():  # no D-length count for a chunk without any
+                    counts[k, 1:] += np.bincount(r[kept], minlength=size)
+            off.append((c[nonzero], v[nonzero]))
             keys.append((c[signed] * 4 + code[signed]).astype(key_type))
-        r, c, v = (np.concatenate(a) for a in zip(*off))
+        indptr, zeros = np.cumsum(counts, axis=1)
+        cols, values = map(np.concatenate, zip(*off))
+        off = scipy.sparse.csr_matrix((values, cols, indptr), shape=(size, size))
         keys = np.concatenate(keys)
-        off = scipy.sparse.csr_matrix((v, (r, c)), shape=(size, size))
-        zeros = None
-        if len(keys):
-            zeros = readonly(np.concatenate([[0], np.cumsum(per_row)]), keys)
+        zeros = readonly(zeros, keys) if len(keys) else None
         return cls(n, m, d, factor_order, data, path_of, off, zeros)
 
     @property
@@ -308,40 +311,39 @@ class SchurTransform:
         readonly(*(t for t in tables if isinstance(t, np.ndarray)), *(g[-1] for g in groups))
         return tables
 
-    def take_rows(self, index, adjoint: bool = False) -> np.ndarray:
-        """W[index], or W[index]^dagger with adjoint=True, read from data.
-
-        index is a slice or an array of row indices.  Each row is one run of
-        data, read with the runs of the other rows through one flat index,
-        whatever the number of sectors they meet.  The result equals
-        W.matrix[index] bit for bit.
-        """
-        rows = np.arange(self.size)[index]
-        shape = (self.size, len(rows)) if adjoint else (len(rows), self.size)
-        out = np.zeros(shape, dtype=self.dtype)
-        flat, width = out.reshape(-1), out.shape[1]
-        zeros = _SIGNED_ZEROS if self.dtype.kind == "c" else _SIGNED_ZEROS.real
-
-        def put(j, cols, values):  # W[rows[j], cols] = values
-            j, cols = j.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
-            if adjoint:
-                flat[cols * width + j] = values.conj()
-            else:
-                flat[j * width + cols] = values
-
-        # 64 rows at a time: the index arrays stay small, and the writes of
-        # the adjoint stay within a strip of 64 columns of out
-        for a in range(0, len(rows), 64):
-            chunk = rows[a:a + 64]
-            at, cols, j = _row_runs(self._index, chunk)
-            put(j + a, cols, self.data[at])
-            if self._zeros is not None:
-                indptr, keys = self._zeros
-                j, at = ranges(indptr[chunk + 1] - indptr[chunk], indptr[chunk])
-                put(j + a, keys[at] >> 2, zeros[keys[at] & 3])
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(j, c, v), W[rows[j[s]], c[s]] = v[s], for every entry W stores in
+        the rows of the index array rows: the sector data, then the signed
+        zeros, then off, each row by row in the order of rows with increasing
+        columns; every entry left out is +0.0.  The mirror of from_entries."""
+        index = self._index
+        start = index.row_start[rows]
+        j, at = ranges(index.row_count[rows], start)
+        parts = [(j, index.col_order[at + (index.row_first[rows] - start)[j]], self.data[at])]
+        if self._zeros is not None:
+            indptr, keys = self._zeros
+            j, at = ranges(indptr[rows + 1] - indptr[rows], indptr[rows])
+            zeros = _SIGNED_ZEROS if self.dtype.kind == "c" else _SIGNED_ZEROS.real
+            parts.append((j, keys[at] >> 2, zeros[keys[at] & 3]))
         if self.off is not None:
             E = self.off[rows].tocoo()
-            put(E.row, E.col, E.data)
+            parts.append((E.row, E.col, E.data))
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+    def take_rows(self, index, adjoint: bool = False) -> np.ndarray:
+        """W[index], or W[index]^dagger with adjoint=True, for a slice or an
+        array of row indices: the entries of 64 rows at a time scattered into
+        out through one flat index, so the index arrays stay small and the
+        writes of the adjoint stay within a strip of 64 columns of out."""
+        rows = np.arange(self.size)[index]
+        out = np.zeros((self.size, len(rows)) if adjoint else (len(rows), self.size), self.dtype)
+        flat = out.reshape(-1)
+        for a in range(0, len(rows), 64):
+            j, c, v = self.entries(rows[a:a + 64])
+            if adjoint:
+                flat[c * len(rows) + (j + a)] = v.conj()
+            else:
+                flat[(j + a) * self.size + c] = v
         return out
 
     def matmul(self, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -416,14 +418,6 @@ def _sector_layout(n: int, m: int, d: int,
                          col_firsts[row_sector], col_rank)
     readonly(*index[2:])
     return sectors, index
-
-
-def _row_runs(index: _SectorIndex, rows: np.ndarray):
-    """(at, cols, j): row rows[j[s]] of W has the entry data[at[s]] in column
-    cols[s], the runs of the rows one after another."""
-    start = index.row_start[rows]
-    j, at = ranges(index.row_count[rows], start)
-    return at, index.col_order[at + (index.row_first[rows] - start)[j]], j
 
 
 def _leg_states(states: dict, sign: int, d: int):

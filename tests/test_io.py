@@ -11,7 +11,7 @@ import matrix_files as v1
 import mskit.io as mskit_io
 from mskit.bratteli import CapExceeded, row_labels
 from mskit.channels import example_channel
-from mskit.io import (_memo_spell, _read_dense, _write_rows, dumps, read_choi, read_matrix,
+from mskit.io import (_memo_spell, _read_dense, _spell, _write_rows, dumps, read_choi, read_matrix,
                       read_schur, write_choi, write_matrix, write_schur)
 from mskit.rand import random_density, rng_from_seed
 from mskit.schur import SchurTransform, build_mixed_schur
@@ -378,6 +378,19 @@ def _listed(x):  # a set bit: nonzero, nan or -0.0
     return x != 0 or math.copysign(1.0, x) < 0
 
 
+def dense_rows(matrix, spell=_spell, order=None):
+    """The version-2 rows that _write_rows writes from every entry of matrix,
+    handed over in row-major order or, with order, in that permutation of it."""
+    M = np.atleast_2d(matrix)
+    r, c = np.indices(M.shape).reshape(2, -1)
+    v = M.ravel()
+    if order is not None:
+        r, c, v = r[order], c[order], v[order]
+    buf = io.StringIO()
+    _write_rows(buf, len(M), M.shape[1], r, c, v, spell)
+    return buf.getvalue()
+
+
 def entry_by_entry_v2(matrix):
     """The rows in version 2, one numpy scalar per entry: every entry with a
     set bit, its column written unless it follows the previous entry's."""
@@ -430,9 +443,9 @@ def test_written_rows_v2_match_entry_by_entry_formatting():
     ]
     for M in cases:
         assert dumps(write_matrix, M).split("\n", 1)[1] == entry_by_entry_v2(M)
-        buf = io.StringIO()
-        _write_rows(buf, M, _memo_spell())
-        assert buf.getvalue() == entry_by_entry_v2(M)
+        assert dense_rows(M, _memo_spell()) == entry_by_entry_v2(M)
+        # entries out of order are sorted first
+        assert dense_rows(M, order=rng.permutation(M.size)) == entry_by_entry_v2(M)
 
 
 def test_the_memo_tells_pairs_apart_by_their_bits():
@@ -441,9 +454,8 @@ def test_the_memo_tells_pairs_apart_by_their_bits():
                    complex(np.nan, 0.0), complex(np.nan, 0.0), complex(1, 0.0), 0.0]])
     spell = _memo_spell()
     for _ in range(2):  # the second pass reads every pair from the memo
-        buf = io.StringIO()
-        _write_rows(buf, M, spell)
-        assert buf.getvalue() == "1.0,0.0 1.0,-0.0 -0.0,0.0 0.0,-0.0 nan,0.0 nan,0.0 1.0,0.0\n"
+        assert dense_rows(M, spell) == ("1.0,0.0 1.0,-0.0 -0.0,0.0 0.0,-0.0 nan,0.0 nan,0.0 "
+                                        "1.0,0.0\n")
 
 
 def test_the_memo_starts_over_without_changing_the_text(monkeypatch):
@@ -556,13 +568,10 @@ def test_rows_match_the_repr_writer_and_read_back_bit_equal(M):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_v2_rows_match_the_repr_writer_and_read_back_bit_equal(M):
-    buf = io.StringIO()
-    _write_rows(buf, M)
-    rows = buf.getvalue()
+    rows = dense_rows(M)
     assert rows == repr_rows_v2(M)
-    memo = io.StringIO()
-    _write_rows(memo, M, _memo_spell())
-    assert memo.getvalue() == rows
+    assert dense_rows(M, _memo_spell()) == rows
+    assert dense_rows(M, order=np.arange(M.size)[::-1]) == rows
     R = _read_dense(iter(rows.splitlines()), *M.shape, "2")
     want = M.astype(complex)
     assert np.array_equal(R.view(np.uint64), want.view(np.uint64))
@@ -747,11 +756,28 @@ def test_a_noisy_transform_reads_and_writes_in_bounded_memory():
     f = io.StringIO(dumps(write_schur, N))
     R, peak = traced_peak(lambda: read_schur(f))
     assert peak <= base + 4 * 2 ** 20, (peak, base)
+    # off holds about 870,000 nonzeros, 10.4 MB of CSR, and the reader keeps
+    # only their columns and values and a count per row, never a row array
+    assert peak < 40e6, peak
     assert np.array_equal(_bits(R.take_rows(slice(None))), _bits(M))
     sink = _Sink()
     _, peak = traced_peak(lambda: write_schur(sink, N))
     assert sink.sha.digest() == hashlib.sha256(f.getvalue().encode()).digest()
     assert peak <= 400 * mskit_io._MEMO_PAIRS + 4 * 2 ** 20, peak
+
+
+def test_write_schur_reads_no_dense_rows(monkeypatch):
+    W = build_mixed_schur(3, 2, 3)
+    V = _negated_rows(W)  # with signed zeros outside the sectors
+
+    def refuse(*args, **kw):
+        raise AssertionError("write_schur read a dense row block")
+
+    monkeypatch.setattr(SchurTransform, "take_rows", refuse)
+    for X in (W, V):
+        R = read_schur(io.StringIO(dumps(write_schur, X)))
+        assert np.array_equal(_bits(R.data), _bits(X.data))
+    assert all(map(np.array_equal, R._zeros, V._zeros))  # R is V read back
 
 
 def test_readers_leave_the_file_position_after_what_they_read(tmp_path):

@@ -88,6 +88,63 @@ def test_row_reads_span_several_chunks():
         check_row_reads(name, V, rng_from_seed(75))
 
 
+def entry_variants(W, seed):
+    """variants(W, seed), plus every other row negated (signed zeros outside the
+    sectors), noise on every entry, and a NaN outside a sector."""
+    M = W.matrix
+    signs = np.where(np.arange(W.size) % 2, 1.0, -1.0)
+    noise = 1e-9 * rng_from_seed(seed).standard_normal(M.shape)
+    nan = M.copy()
+    nan[tuple(np.argwhere(W.sectors[1][:, None] != W.sectors[2][None, :])[0])] = np.nan
+    split = {name: SchurTransform.from_matrix(W.n, W.m, W.d, W.factor_order, X)
+             for name, X in (("negated rows", signs[:, None] * M), ("noisy", M + noise),
+                             ("nan outside", nan))}
+    return {**variants(W, seed), **split}
+
+
+def entry_chunks(V, step):
+    """The entries of every row of V, step rows at a time, as from_entries takes them."""
+    for a in range(0, V.size, step):
+        rows = np.arange(a, min(a + step, V.size))
+        j, c, v = V.entries(rows)
+        yield rows[j], c, v
+
+
+@pytest.mark.parametrize("step", [50, 243])
+def test_entries_give_from_entries_the_same_transform(step):
+    W = build_mixed_schur(3, 2, 3)  # D = 243
+    for name, V in entry_variants(W, 80).items():
+        R = SchurTransform.from_entries(V.n, V.m, V.d, V.factor_order, entry_chunks(V, step))
+        assert R.dtype == V.dtype, name
+        assert np.array_equal(bits(R.data), bits(V.data)), name
+        assert (R.off is None) == (V.off is None), name
+        if V.off is not None:
+            assert np.array_equal(R.off.indptr, V.off.indptr), name
+            assert np.array_equal(R.off.indices, V.off.indices), name
+            assert np.array_equal(bits(R.off.data), bits(V.off.data)), name
+        assert (R._zeros is None) == (V._zeros is None), name
+        # each variant holds what it is named for
+        assert name != "negated rows" or V._zeros is not None
+        assert name != "nan outside" or np.isnan(V.off.data).any()
+        if V._zeros is not None:
+            assert all(map(np.array_equal, R._zeros, V._zeros)), name
+
+
+def test_take_rows_is_the_scatter_of_entries():
+    W = build_mixed_schur(3, 2, 3)  # D = 243, so take_rows reads several chunks
+    for name, V in entry_variants(W, 81).items():
+        for index in (slice(None), slice(5, 200), slice(3, None, 7), slice(None, None, -2),
+                      rng_from_seed(82).permutation(V.size)[:100]):
+            rows = np.arange(V.size)[index]
+            j, c, v = V.entries(rows)
+            want = np.zeros((len(rows), V.size), V.dtype)
+            want[j, c] = v
+            assert np.array_equal(bits(V.take_rows(index)), bits(want)), (name, index)
+            want = np.zeros((V.size, len(rows)), V.dtype)
+            want[c, j] = v.conj()
+            assert np.array_equal(bits(V.take_rows(index, adjoint=True)), bits(want)), (name, index)
+
+
 def test_built_transform_holds_no_dense_array():
     W = build_mixed_schur(5, 5, 2)
     verify_blockdiag(W, haar_unitary(2, rng_from_seed(72)))
