@@ -16,14 +16,16 @@ import numpy as np
 def spans(starts, lengths: np.ndarray) -> np.ndarray:
     """The ranges starts[i] + arange(lengths[i]) laid end to end; starts may
     be a scalar."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - (ends - lengths)).repeat(lengths)
 
 
 def ranges(lengths: np.ndarray, starts=0) -> tuple[np.ndarray, np.ndarray]:
     """(owner, at) of the ranges starts[i] + arange(lengths[i]) laid end to
     end: entry s is at[s], of range owner[s]."""
-    return np.repeat(np.arange(len(lengths)), lengths), spans(starts, lengths)
+    owner = np.arange(len(lengths)).repeat(lengths)
+    ends = lengths.cumsum()
+    return owner, np.arange(len(owner)) + (starts - (ends - lengths))[owner]
 
 
 def group(key: np.ndarray, groups: int = 0) -> tuple[np.ndarray, ...]:

@@ -16,28 +16,40 @@ output block of a content mu' (a block of its U(d-1) coupling) lands in a
 target mu - e_j with a row shift and one coefficient T(mu, j, mu', j'), its
 column (q', i') moving to (q_mu' + q', i') in the U(d) numbering; the leg
 i = d adds a diagonal scaled by T(mu, j, mu', 0).  The base case d = 1 maps
-the integer c to c - 1 with coefficient 1.
+the integer c to c - 1 with coefficient 1, and the step to d = 2 is taken in
+closed form, as every content of a U(2) staircase has a one-entry coupling.
 
 The triplets are shift invariant: those of mu + c (1, ..., 1) equal those of
 mu, entry for entry, and only the block labels shift by c, so the memo keeps
 one set per mu - mu_d (1, ..., 1).  A request first plans the staircases it
-needs and the memo lacks, by length from d down to 1: the contents of all
+needs and the memo lacks, by length from d down: the contents of all
 the staircases of one length (a level) are enumerated at once, as the rows
-of an integer array, and their keys looked up in the memo.  Each level is
-then built in one vectorized pass, shortest first, from arrays alone.  The
-dim of a content and the blocks of its coupling (offset, size, entries) are
-read off the level below, with one gather per level read; one
-reduced_wigner_values call gives every coefficient of the level; the offset
-of a U(d-1) label inside a target is the sum of the dims of the target's
-labels above it in descending lex order, and the target's size is the sum
-of them all; and one segmented remap moves every block into its targets.
-So no subduction, interlacing set or Weyl dimension is computed per
-staircase.  A built level is one set of read-only arrays, and its memo
-entries view slices of it.  A single coupling is a level with one
-staircase.  Weight conservation keeps the
+of an integer array, told apart by one integer key per row, and looked up
+in the memo.  Each level is then built in one vectorized pass, shortest
+first, from arrays alone, at a cost in NumPy calls that does not grow with
+the level.  A built level is one set of read-only arrays: the entries, and
+one integer table with a column per output block (target, rows, entries);
+its memo entries view slices of it.  The pass reads the dim of each content
+and the table columns and entries of its coupling off the level below: the
+level just built, as it is, when it holds every content (as in a cold
+request), and otherwise with one gather per level read.  One
+reduced_wigner_values call gives every coefficient of the level.  The
+offset of a U(d-1) label inside a target is the sum of the dims of the
+target's contents above it in descending lex order: each label's dim is
+written at its place among those contents, a mixed-radix number, and one
+running sum over all the level's targets gives every label's offset and
+every target's size.  One segmented remap then moves every block into its
+targets.  So no subduction, interlacing set or Weyl dimension is computed
+per staircase, and nothing is sorted.
+
+cg_transforms(kind, gammas) is the one way to ask for couplings: it plans
+the dual triplets that all of gammas need together (their targets, for
+defining couplings), one pass per length, then assembles each coupling;
+cg_transform is its one-staircase case, and build_mixed_schur asks for each
+leg's couplings in one request.  Weight conservation keeps the
 triplets a small fraction of the dense size (about 2% at d = 4, 0.2% at
-d = 8), and no coupling is ever dense: each public call packs its triplets
-once into a read-only CSR matrix (CouplingMatrix), which it returns.
+d = 8), and no coupling is ever dense: each coupling packs its triplets
+once into a read-only CSR matrix (CouplingMatrix).
 
 defining_cg(lam) realizes Q_lam (x) Q_box ~= direct sum over lam + box.  It is
 produced by bending the dual transform: the one-dimensionality of equivariant
@@ -144,9 +156,13 @@ def _gram_residual(w) -> float:
     sparse, so its cost grows with the nonzeros of W.
     """
     s = scipy.sparse.csr_array(w)
-    g = (s @ s.T).tocoo()
-    off = g.row != g.col
-    dev = np.concatenate([g.data[off], g.diagonal() - 1.0])
+    g = s @ s.T
+    n = g.shape[0]
+    rows = np.arange(n).repeat(g.indptr[1:] - g.indptr[:-1])
+    on = rows == g.indices
+    diag = np.zeros(n)  # a row without a diagonal entry reads 0 there
+    diag[rows[on]] = g.data[on]
+    dev = np.concatenate([g.data[~on], diag - 1.0])
     return float(np.abs(dev).max(initial=0.0))
 
 
@@ -238,20 +254,18 @@ class _Level(NamedTuple):
     """The dual couplings of one recursion level, built together, as one set
     of read-only arrays; the memo entries of the level view its slices.
 
-    Coupling k (of the level's k-th staircase mu) owns blocks
-    first[k]:first[k + 1], and dim[k] is dim(mu).  Block b holds entries
-    ptr[b]:ptr[b + 1], is the target mu - e_j with j = jb[b] + 1, and takes
-    rows off[b]:off[b] + size[b] of its coupling.
+    Coupling k (of the level's k-th staircase mu) has dim(mu) = dim[k] and
+    owns blocks first[k]:first[k + 1].  Column b of table describes block b:
+    it is the target mu - e_j with j = table[0, b], takes rows
+    table[1, b]:table[1, b] + table[2, b] of its coupling, and holds the
+    entries table[3, b]:table[3, b] + table[4, b].
     """
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    ptr: np.ndarray
     first: np.ndarray
-    jb: np.ndarray
-    off: np.ndarray
-    size: np.ndarray
+    table: np.ndarray
     dim: np.ndarray
 
 
@@ -283,6 +297,33 @@ def _csr(rows, cols, vals, n: int) -> CouplingMatrix:
     W = CouplingMatrix((vals, (rows, cols)), shape=(n, n))
     readonly(W.data, W.indices, W.indptr)
     return W
+
+
+def cg_transforms(kind: str, gammas, cap: int = CG_DIM_CAP) -> list[CGTransform]:
+    """The couplings of one kind ("dual" or "defining") of every staircase
+    in gammas, as dual_cg or defining_cg gives them, in order.
+
+    The dual triplets the memo lacks, those of gammas for "dual" and of
+    their targets gamma + e_j for "defining", are planned and built together,
+    one pass per length of staircase, before the couplings are assembled one
+    by one.  A staircase over the cap raises CapExceeded, and none past it
+    is assembled.
+    """
+    if kind not in ("dual", "defining"):
+        raise ValueError(f"unknown CG kind {kind!r}")
+    gammas = list(gammas)
+    if len(gammas) > 1:  # a single coupling plans its own levels
+        todo = [g for g in dict.fromkeys(map(validate, gammas))
+                if (kind, g) not in _memo and dim(g) * len(g) <= cap]
+        if kind == "defining":
+            todo = dict.fromkeys(nu for lam in todo for nu in add_box_set(lam))
+        by_length = {}
+        for g in todo:
+            by_length.setdefault(len(g), []).append(g)
+        for mus in by_length.values():
+            _sparse_duals(mus)
+    assemble = dual_cg if kind == "dual" else defining_cg
+    return [assemble(g, cap) for g in gammas]
 
 
 def dual_cg(mu: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
@@ -319,23 +360,21 @@ def _sparse_duals(mus) -> list[_Triplets]:
     first; a shifted request gets the triplets of its key, relabeled.
     """
     keys = [_canonical(mu) for mu in mus]
-    have = {}
-    plans = []
+    have, plans = {}, []
     todo = list(dict.fromkeys(keys))
     while todo:
-        need = []
-        for key in todo:
-            hit = _triplet_memo.get(key)
-            if hit is None:
-                need.append(key)
-            else:
-                have[key] = hit
-        if not need:
+        with _memo_lock:
+            have.update({k: _triplet_memo[k] for k in todo if k in _triplet_memo})
+        todo = [k for k in todo if k not in have]
+        if not todo:
             break
-        plans.append(_plan(need))
+        plans.append(_plan(todo))
         todo = plans[-1].contents
+    level = None
     for plan in reversed(plans):
-        have.update(_build_level(plan, have))
+        lower = _gather(plan.contents, have, level) if plan.contents else None
+        level, built = _build_level(plan, lower)
+        have.update(built)
     with _memo_lock:
         for plan in plans:
             for key in plan.keys:
@@ -353,189 +392,272 @@ def _sparse_duals(mus) -> list[_Triplets]:
 class _Plan(NamedTuple):
     """One level to build: its keys (staircases of one length d, last entry
     0), as the rows of mus too, and every (key, content) pair, key by key and
-    each key's contents in descending lex order (count of them per key): the
-    row of its key (owner), its content (a row of pairs) and the position of
-    the content's key in contents, the distinct keys of the U(d-1) couplings
-    the level reads."""
+    each key's contents in descending lex order (count of them per key, the
+    pairs of key k ending at end[k]): the row of its key (owner), its content
+    (a row of pairs) and the position of the content's key in contents, the
+    distinct keys of the U(d-1) couplings the level reads."""
 
     keys: list[Staircase]
     mus: np.ndarray
     count: np.ndarray
+    end: np.ndarray
     owner: np.ndarray
     pairs: np.ndarray
     sub: np.ndarray
     contents: list[Staircase]
 
 
+def _places(width: np.ndarray) -> np.ndarray:
+    """The place values of mixed-radix numbers, one a row, whose digits have
+    the given widths, the last digit least significant."""
+    place = np.ones(width.shape, dtype=np.intp)
+    place[:, :-1] = width[:, :0:-1].cumprod(axis=1)[:, ::-1]
+    return place
+
+
 def _plan(keys: list[Staircase]) -> _Plan:
     """The contents of every key at once.  Entry i of a content ranges over
     mu_i, ..., mu_{i+1} whatever the other entries are, so the contents of mu,
-    in descending lex order, count down a mixed-radix number with digits
-    mu_i - mu_{i+1} + 1, its last entry least significant."""
+    in descending lex order, count up a mixed-radix number with digits
+    mu_i - content_i of width mu_i - mu_{i+1} + 1, its last digit least
+    significant.  A content's memo key is the content less its last entry
+    in every entry, all of them then in [0, mu_1], and the keys are told
+    apart by one integer each, their entries the digits in base max mu_1 + 1
+    (by the bytes of the row when that integer could pass int64).  U(2)
+    keys read no level below (see _u2_entries)."""
     mus = np.array(keys)
-    if mus.shape[1] == 1:
-        return _Plan(keys, mus, None, None, None, None, [])
+    n_mu, d = mus.shape
+    if d <= 2:  # no level below is read
+        return _Plan(keys, mus, None, None, None, None, None, [])
     width = mus[:, :-1] - mus[:, 1:] + 1
-    count = width.prod(axis=1)
-    owner, p = ranges(count)
-    pairs = np.empty((len(owner), width.shape[1]), dtype=mus.dtype)
-    for i in range(width.shape[1] - 1, -1, -1):
-        p, r = np.divmod(p, width[owner, i])
-        pairs[:, i] = mus[owner, i] - r
-    index = {}
-    sub = np.fromiter((index.setdefault(k, len(index))
-                       for k in map(tuple, (pairs - pairs[:, -1:]).tolist())),
-                      dtype=np.intp, count=len(pairs))
-    return _Plan(keys, mus, count, owner, pairs, sub, list(index))
+    place = _places(width)
+    count = place[:, 0] * width[:, 0]
+    end = count.cumsum()
+    owner = np.arange(n_mu).repeat(count)
+    at = np.arange(end[-1]) - (end - count)[owner]
+    pairs = mus[owner, :-1] - at[:, None] // place[owner] % width[owner]
+    canonical = pairs - pairs[:, -1:]
+    base = int(mus[:, 0].max()) + 1
+    if base ** (d - 2) < 2 ** 63:
+        key = canonical[:, :-1] @ base ** np.arange(d - 2, dtype=np.int64)
+    else:
+        key = _row_keys(canonical)
+    order = key.argsort()
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    sub = np.empty(len(key), dtype=np.intp)
+    sub[order] = new.cumsum() - 1
+    contents = list(map(tuple, canonical[order[new]].tolist()))
+    return _Plan(keys, mus, count, end, owner, pairs, sub, contents)
 
 
-def _gather(subs: list[_Triplets]):
-    """The blocks and entries of the couplings subs, with one fancy index per
-    level they view: per coupling its dim, block count and first block; per
-    block its jb, off and size, entry count and first entry; the entries.
-    The blocks and entries come level by level, each coupling's together."""
-    by_level = {}
-    for i, t in enumerate(subs):
-        by_level.setdefault(id(t.level), (t.level, []))[1].append(i)
-    perm = np.empty(len(subs), dtype=np.intp)  # where each coupling comes
-    parts, placed = [], 0
-    for lv, idx in by_level.values():
-        at = np.array([subs[i].at for i in idx])
-        perm[idx] = placed + np.arange(len(idx))
-        placed += len(idx)
+def _gather(contents: list[Staircase], have: dict, below: _Level | None):
+    """The couplings of the contents, in their order: (dim, first block,
+    block count) of each, the table columns of their blocks and the entries,
+    as in a _Level.  When the level just built (below) holds every content,
+    it is that level itself; otherwise one fancy index per level read."""
+    # below was built for the contents the memo lacked, in their order
+    if below is not None and len(below.dim) == len(contents):
+        first = below.first
+        return (below.dim, first[:-1], first[1:] - first[:-1], below.table,
+                below.rows, below.cols, below.vals)
+    groups = {}
+    for i, key in enumerate(contents):
+        t = have[key]
+        group = groups.setdefault(id(t.level), (t.level, [], []))
+        group[1].append(t.at)
+        group[2].append(i)
+    parts, placed = [], []
+    for lv, at, i in groups.values():
+        at = np.array(at)
         nb = lv.first[at + 1] - lv.first[at]
-        b = spans(lv.first[at], nb)
-        ne = lv.ptr[b + 1] - lv.ptr[b]
-        e = spans(lv.ptr[b], ne)
-        parts.append((lv.dim[at], nb, lv.jb[b], lv.off[b], lv.size[b], ne,
-                      lv.rows[e], lv.cols[e], lv.vals[e]))
-    dims, nb, jb, off, size, ne, rows, cols, vals = (
-        x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*parts))
-    return (dims[perm], nb[perm], (np.cumsum(nb) - nb)[perm],
-            jb, off, size, ne, np.cumsum(ne) - ne, rows, cols, vals)
+        table = lv.table[:, spans(lv.first[at], nb)]
+        e = spans(table[3], table[4])
+        parts.append((lv.dim[at], nb, table, lv.rows[e], lv.cols[e], lv.vals[e]))
+        placed += i
+    dims, nb, table, rows, cols, vals = (
+        x[0] if len(x) == 1 else np.concatenate(x, axis=-1) for x in zip(*parts))
+    table[3] = table[4].cumsum() - table[4]
+    where = np.empty(len(placed), dtype=np.intp)  # where each content was placed
+    where[placed] = np.arange(len(placed))
+    return dims[where], (nb.cumsum() - nb)[where], nb[where], table, rows, cols, vals
 
 
-def _label_offsets(g: np.ndarray, label: np.ndarray, dims: np.ndarray,
-                   n_targets: int) -> tuple[np.ndarray, np.ndarray]:
-    """(offset of each label in its target g, size of each target).
-
-    The labels of the pairs of a target are its contents, with their dims,
-    each as often as pairs carry it: sorted by target, then label
-    descending, each run of one label is one content, so its offset is the
-    sum of the dims of the runs before it in its target.
+def _build_level(plan: _Plan, lower) -> tuple[_Level, dict[Staircase, _Triplets]]:
+    """The level of dual_cg(mu) for every key mu of the plan, all of one
+    length d and with last entry 0, and their triplets by key, from `lower`,
+    the U(d-1) couplings of plan.contents as _gather gives them; U(2)
+    couplings need none (see _u2_entries).
     """
-    by = np.lexsort(np.column_stack([g, -label])[:, ::-1].T)
-    gs, ls = g[by], label[by]
-    new = np.ones(len(by), dtype=bool)
-    new[1:] = (gs[1:] != gs[:-1]) | (ls[1:] != ls[:-1]).any(axis=1)
-    run_dim, run_g = dims[by][new], gs[new]
-    first = np.searchsorted(run_g, np.arange(n_targets))
-    at = np.cumsum(run_dim) - run_dim
-    offset = np.empty(len(by), dtype=np.intp)
-    offset[by] = (at - at[first][run_g])[np.cumsum(new) - 1]
-    return offset, np.add.reduceat(run_dim, first)
+    mus = plan.mus
+    n_mu, d = mus.shape
+    if d == 1:  # (0,): the integer 0 maps to -1 with coefficient 1
+        zero, one = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
+        level = _Level(*readonly(zero, zero, np.ones(1), np.arange(2),
+                                 np.array([[1], [0], [1], [0], [1]]), one))
+        return level, {(0,): _Triplets(*level[:3], level.first, (((-1,), 0, 1),), level, 0)}
+    # the targets mu - e_j of every mu, j ascending
+    open_ = np.ones((n_mu, d), dtype=bool)
+    open_[:, :-1] = mus[:, :-1] > mus[:, 1:]
+    tmu, tj = open_.nonzero()
+    n_tgt = open_.sum(axis=1)
+    t_end = n_tgt.cumsum()
+    targets = mus[tmu] - (tj[:, None] == np.arange(d))
+    per_target = (tmu, tj, targets, t_end - n_tgt)
+    g, ends, rows, cols, vals, row0, size, dims = (
+        _u2_entries(mus, *per_target) if d == 2 else _entries(plan, lower, *per_target))
+
+    # the level's table; every target keeps at least one run of entries, so
+    # the runs of target b end at the count of runs of targets 0, ..., b
+    ptr = np.zeros(len(tj) + 1, dtype=np.intp)
+    ptr[1:] = ends[np.bincount(g, minlength=len(tj)).cumsum() - 1]
+    table = np.empty((5, len(tj)), dtype=np.intp)
+    table[0] = tj + 1
+    table[1] = row0
+    table[2] = size
+    table[3] = ptr[:-1]
+    table[4] = ptr[1:] - ptr[:-1]
+    first = np.zeros(n_mu + 1, dtype=np.intp)
+    first[1:] = t_end
+    level = _Level(*readonly(rows, cols, vals, first, table, dims))
+    # each coupling's own block pointers, laid end to end: n_tgt + 1 each
+    o = np.arange(n_mu).repeat(n_tgt + 1)
+    local = ptr[np.arange(len(o)) - o] - ptr[first[o]]
+    readonly(local)
+    blocks = list(zip(map(tuple, targets.tolist()), row0.tolist(), size.tolist()))
+    first, ptr = first.tolist(), ptr.tolist()
+    out = {}
+    for k, key in enumerate(plan.keys):
+        b, b1 = first[k], first[k + 1]
+        e0, e1 = ptr[b], ptr[b1]
+        out[key] = _Triplets(rows[e0:e1], cols[e0:e1], vals[e0:e1], local[b + k:b1 + k + 1],
+                             tuple(blocks[b:b1]), level, k)
+    return level, out
 
 
-def _build_level(plan: _Plan, have: dict) -> dict[Staircase, _Triplets]:
-    """Triplets of dual_cg(mu) for every key mu of the plan, all of one
-    length d and with last entry 0, from the triplets in `have` of their
-    U(d-1) contents.
+def _u2_entries(mus, tmu, tj, targets, t_first):
+    """_entries for U(2) keys (a, 0), in closed form.  Pattern q of (a, 0)
+    has content (a - q), whose U(1) coupling is one entry with coefficient
+    1, so column (q, i) lands at most once in each target mu - e_j: labeled
+    a - q - j' with j' = 1 - i, with coefficient T(mu, j, (a - q), j'), on
+    the row of that label, t_1 - label after the target's first row.  Each
+    entry is a run of its own."""
+    a = mus[:, 0]
+    n_comb = 2 * a[tmu] + 2
+    comb_end = n_comb.cumsum()
+    g = np.arange(len(tj)).repeat(n_comb)
+    q, jp = np.divmod(np.arange(comb_end[-1]) - (comb_end - n_comb)[g], 2)
+    o = tmu[g]
+    content = a[o] - q
+    vals = reduced_wigner_values(mus[o], content[:, None], tj[g] + 1, jp)
+    keep = vals.nonzero()[0]
+    g, q, jp, label, vals = g[keep], q[keep], jp[keep], content[keep] - jp[keep], vals[keep]
+    size = targets[:, 0] - targets[:, 1] + 1
+    t_row = size.cumsum() - size
+    row0 = t_row - t_row[t_first][tmu]
+    rows = row0[g] + targets[g, 0] - label
+    return g, np.arange(1, len(g) + 1), rows, 2 * q + 1 - jp, vals, row0, size, a + 1
+
+
+def _entries(plan: _Plan, lower, tmu, tj, targets, t_first):
+    """(g, ends, rows, cols, vals, row0, size, dims): the entries of the
+    level's couplings, in runs grouped by target (run s of target g[s] ends
+    at entry ends[s]), each target's first row in its coupling and its
+    size, and each key's dim.
 
     A segment is one output block of a content's coupling (its entries; leg
     values below d) or the diagonal of one content (its patterns, at leg
     value d), labeled by the U(d-1) staircase nu of its rows.  Each segment
     lands in each target block mu - e_j of its mu with one coefficient
     T(mu, j, mu', j'), j' = 0 for the diagonal, and one row shift; the
-    (target, segment) pairs whose coefficient is 0 are dropped.  The labels
-    of the pairs kept in a target are its contents, so a label's offset in
-    the target is the sum of the dims of the labels above it in descending
-    lex order, and the target's size is the sum of them all.
+    (target, segment) pairs whose coefficient is 0 are dropped, and each
+    pair kept is one run.  The labels of the pairs kept in a target are its
+    contents, so a label's offset in the target is the sum of the dims of
+    the contents above it in descending lex order: each label's dim is
+    written at its position among the target's contents, and one running
+    sum over all targets gives every label's row and every target's size.
     """
     mus, owner, pairs, sub = plan.mus, plan.owner, plan.pairs, plan.sub
-    n_mu, d = mus.shape
-    if d == 1:  # (0,): the integer 0 maps to -1 with coefficient 1
-        zero, one = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.intp)
-        level = _Level(*readonly(zero, zero, np.ones(1), np.arange(2), np.arange(2),
-                                 zero, zero, one, one))
-        return {(0,): _Triplets(*level[:4], (((-1,), 0, 1),), level, 0)}
-    (dims, nb, b0, jb, boff, bsize, ne, e0,
-     rows, cols, vals) = _gather([have[k] for k in plan.contents])
-    # the entries of every content's coupling, then every content's
-    # diagonal; column (q', i') of a content becomes (q', i') in the U(d)
-    # numbering, (q', d) on the diagonal, and the content's offset in its mu
-    # is added per pair
-    diag = spans(0, dims)
-    q, i = np.divmod(cols, d - 1)
-    src_rows = np.concatenate([rows, diag])
-    src_cols = np.concatenate([q * d + i, diag * d + d - 1])
-    src_vals = np.concatenate([vals, np.ones(len(diag))])
-    diag0 = len(rows) + np.cumsum(dims) - dims
-
+    d = mus.shape[1]
+    dims, b0, nb, table, rows, cols, vals = lower
+    n_e, n_b = len(rows), table.shape[1]
+    # the source entries: those of every content's coupling, then one
+    # diagonal as long as the largest content, which every content's
+    # diagonal reads from its start; column (q', i') in the U(d) numbering
+    # q' d + i'
+    diag = np.arange(dims.max())
+    src_rows = np.concatenate((rows, diag))
+    src_cols = np.concatenate((cols + cols // (d - 1), diag * d + (d - 1)))
+    src_vals = np.concatenate((vals, np.ones(len(diag))))
+    # the segments of every pair, pair by pair, its diagonal first: columns
+    # of the contents' table, extended by one column per diagonal
+    ext = np.empty((5, n_b + len(dims)), dtype=np.intp)
+    ext[:, :n_b] = table
+    ext[:2, n_b:] = 0
+    ext[2, n_b:] = ext[4, n_b:] = dims
+    ext[3, n_b:] = n_e
+    n_seg = nb[sub] + 1
+    s_end = n_seg.cumsum()
+    seg_pair = np.arange(len(sub)).repeat(n_seg)
+    k = np.arange(s_end[-1]) - (s_end - n_seg)[seg_pair]
+    seg = ext[:, np.where(k == 0, n_b + sub[seg_pair], b0[sub][seg_pair] + k - 1)]
+    # each pair's patterns start at in_off in its key's; each key's segments
+    # are ms_first[o]:ms_first[o] + ms_count[o]
     pdim = dims[sub]
-    pfirst = np.cumsum(plan.count) - plan.count
-    at = np.cumsum(pdim) - pdim
-    in_off = at - at[pfirst][owner]
-    # every segment of every pair: the content's blocks, then its diagonal;
-    # seg orders them mu by mu, a mu's sub segments before its diagonals
-    so, blk = ranges(nb[sub], b0[sub])
-    n_pair = len(sub)
-    seg_pair = np.concatenate([so, np.arange(n_pair)])
-    seg_jp = np.concatenate([jb[blk] + 1, np.zeros(n_pair, dtype=np.intp)])
-    seg_dim = np.concatenate([bsize[blk], pdim])
-    seg_off = np.concatenate([boff[blk], np.zeros(n_pair, dtype=np.intp)])
-    seg_len = np.concatenate([ne[blk], pdim])
-    seg_start = np.concatenate([e0[blk], diag0[sub]])
-    seg_mu = owner[seg_pair]
-    seg = np.argsort(seg_mu, kind="stable")
-    n_seg = np.bincount(seg_mu, minlength=n_mu)
+    p_end = pdim.cumsum()
+    p_first = plan.end - plan.count
+    in_off = p_end - pdim - (p_end - pdim)[p_first][owner]
+    ms_first = (s_end - n_seg)[p_first]
+    ms_count = s_end[plan.end - 1] - ms_first
 
-    # the targets mu - e_j of every mu, then every (target, segment) pair of
-    # each mu, targets major
-    open_ = np.ones((n_mu, d), dtype=bool)
-    open_[:, :-1] = mus[:, :-1] > mus[:, 1:]
-    tmu, tj = np.nonzero(open_)
-    n_tgt = open_.sum(axis=1)
-    tfirst = np.cumsum(n_tgt) - n_tgt
-    o, at = ranges(n_tgt * n_seg)
-    t_at, s_at = np.divmod(at, n_seg[o])
-    g = tfirst[o] + t_at
-    sig = seg[(np.cumsum(n_seg) - n_seg)[o] + s_at]
-    coef = reduced_wigner_values(mus[o], pairs[seg_pair[sig]], tj[g] + 1, seg_jp[sig])
-    keep = np.flatnonzero(coef)
-    g, sig, coef = g[keep], sig[keep], coef[keep]
-
+    # every (target, segment) pair of each mu, targets major, with its
+    # coefficient; the zeros are dropped
+    n_comb = ms_count[tmu]
+    comb_end = n_comb.cumsum()
+    g = np.arange(len(tj)).repeat(n_comb)
+    sig = np.arange(comb_end[-1]) + (ms_first[tmu] - (comb_end - n_comb))[g]
     pr = seg_pair[sig]
-    label = pairs[pr] - np.eye(d, d - 1, -1, dtype=pairs.dtype)[seg_jp[sig]]
-    label_off, size = _label_offsets(g, label, seg_dim[sig], len(tj))
-    at = np.cumsum(size) - size
-    row0 = at - at[tfirst][tmu]
+    coef = reduced_wigner_values(mus[tmu[g]], pairs[pr], tj[g] + 1, seg[0, sig])
+    keep = coef.nonzero()[0]
+    g, sig, pr, coef = g[keep], sig[keep], pr[keep], coef[keep]
+    s = seg[:, sig]
 
-    # a segment labeled nu moves to the target's row offset plus the offset
-    # of nu in the target, less its own offset in the sub coupling
-    length = seg_len[sig]
-    idx = spans(seg_start[sig], length)
-    rows = src_rows[idx] + np.repeat(row0[g] + label_off - seg_off[sig], length)
-    cols = src_cols[idx] + np.repeat(in_off[pr] * d, length)
-    vals = src_vals[idx] * np.repeat(coef, length)
-    ends = np.concatenate([[0], np.cumsum(length)])
-    ptr = ends[np.searchsorted(g, np.arange(len(tj) + 1))]
-    first = np.append(tfirst, len(tj))
-    # each coupling's own block pointers, laid end to end: n_tgt + 1 each
-    o, at = ranges(n_tgt + 1, tfirst)
-    local = ptr[at] - ptr[tfirst[o]]
-    level = _Level(*readonly(rows, cols, vals, ptr, first, tj, row0, size,
-                             np.add.reduceat(pdim, pfirst)))
-    readonly(local)
-    targets = (mus[tmu] - np.eye(d, dtype=mus.dtype)[tj]).tolist()
-    blocks = list(zip(map(tuple, targets), row0.tolist(), size.tolist()))
-    first, ptr = first.tolist(), ptr.tolist()
-    out = {}
-    for k, key in enumerate(plan.keys):
-        b, b1 = first[k], first[k + 1]
-        e = slice(ptr[b], ptr[b1])
-        out[key] = _Triplets(rows[e], cols[e], vals[e], local[b + k:b1 + k + 1],
-                             tuple(blocks[b:b1]), level, k)
-    return out
+    # the label of each pair kept, as its place among its target's contents
+    # (a mixed-radix number, as in _plan) after those of the targets before
+    # (label pair - e_{j'} less its target's digits; at j' = 0, the pair)
+    width = targets[:, :-1] - targets[:, 1:] + 1
+    place = _places(width)
+    n_cont = place[:, 0] * width[:, 0]
+    base = np.empty((len(tj), d), dtype=np.intp)  # [b, 0]: target b's first place; [b, j'],
+    # j' > 0: that plus the place of digit j' - 1
+    base[:, 0] = n_cont.cumsum() - n_cont
+    base[:, 1:] = place + base[:, :1]
+    key = ((targets[g, :-1] - pairs[pr]) * place[g]).sum(axis=1) + base[g, s[0]]
+    label_dim = np.zeros(base[-1, 0] + n_cont[-1], dtype=np.intp)
+    label_dim[key] = s[2]
+    above = label_dim.cumsum()
+    row = above - label_dim  # of each label, counted over all targets
+    t_row = row[base[:, 0]]
+    size = above[base[:, 0] + n_cont - 1] - t_row
+    mu_row = t_row[t_first]
+
+    # a segment labeled nu moves to the row of nu in its target less the
+    # segment's own offset in the sub coupling; its columns move by the
+    # content's offset in its mu
+    length = s[4]
+    ends = length.cumsum()
+    shift = np.empty((3, len(g)), dtype=np.intp)
+    shift[0] = s[3] - (ends - length)
+    shift[1] = row[key] - mu_row[tmu[g]] - s[1]
+    shift[2] = in_off[pr] * d
+    shift = shift.repeat(length, axis=1)
+    idx = np.arange(ends[-1]) + shift[0]
+    rows = src_rows[idx] + shift[1]
+    cols = src_cols[idx] + shift[2]
+    vals = src_vals[idx] * coef.repeat(length)
+    return (g, ends, rows, cols, vals, t_row - mu_row[tmu], size,
+            p_end[plan.end - 1] - (p_end - pdim)[p_first])
 
 
 def bend(dual_block: np.ndarray, dim_nu: int, dim_lam: int, d: int) -> np.ndarray:
@@ -590,11 +712,8 @@ def defining_cg(lam: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
 
 
 def cg_transform(kind: str, gamma: Staircase, cap: int = CG_DIM_CAP) -> CGTransform:
-    if kind == "dual":
-        return dual_cg(gamma, cap)
-    if kind == "defining":
-        return defining_cg(gamma, cap)
-    raise ValueError(f"unknown CG kind {kind!r}")
+    """The coupling of one kind of gamma: cg_transforms of the one staircase."""
+    return cg_transforms(kind, [gamma], cap)[0]
 
 
 def weight_sparsity_residual(t: CGTransform) -> float:

@@ -36,8 +36,8 @@ is a new value, made from its entries by SchurTransform.from_entries, the
 one way in: each chunk of rows goes straight into the sector data, the
 nonzero entries outside every sector into W.off, and the signed zeros there
 into a small table, so no dense W is held.  io.read_schur feeds it the rows
-of a file as they are parsed, and from_matrix every entry of a dense
-matrix, a chunk of rows at a time.
+of a file as they are parsed, and from_matrix the entries of a dense
+matrix that have a set bit, a chunk of rows at a time.
 
 Conjugating the mixed tensor operator U^{(x)legs} by W must produce, for every
 unitary U, a block-diagonal matrix with one block per staircase of the form
@@ -65,7 +65,7 @@ import scipy.sparse
 from . import brauer
 from ._arrays import group, ranges, readonly
 from .bratteli import DEFAULT_CAP, check_cap, parse_factor_order, row_layout
-from .cg import cg_transform
+from .cg import cg_transforms
 from .gelfand import _by_weight, pattern_weights
 from .staircase import Staircase
 
@@ -186,8 +186,10 @@ class SchurTransform:
                     path_of=None) -> SchurTransform:
         """The transform of a dense W, split into its sectors once.
 
-        Every entry goes to from_entries, in chunks of whole rows of at most
-        _COLUMN_ENTRIES entries, and W keeps the matrix's float or complex dtype.
+        The entries with a set bit in either part (-0.0 included) go to
+        from_entries, in chunks of whole rows of at most _COLUMN_ENTRIES
+        entries; every entry left out is +0.0, as from_entries takes it.  W
+        keeps the matrix's float or complex dtype.
         """
         matrix = np.asarray(matrix)
         dtype = np.result_type(matrix, float)
@@ -198,8 +200,8 @@ class SchurTransform:
         def entries(step=max(1, _COLUMN_ENTRIES // size)):
             for a in range(0, size, step):
                 M = matrix[a:a + step].astype(dtype)
-                r, c = np.indices(M.shape).reshape(2, -1)
-                yield r + a, c, M.ravel()
+                r, c = M.view(np.uint64).reshape(len(M), size, -1).any(axis=2).nonzero()
+                yield r + a, c, M[r, c]
 
         return cls.from_entries(n, m, d, factor_order, entries(), dtype, path_of)
 
@@ -472,7 +474,7 @@ def build_mixed_schur(n: int, m: int, d: int, factor_order: str | None = None,
     states = {zero: np.zeros(1, dtype=np.intp)}
     for leg, kind in enumerate(order, 1):
         sign = 1 if kind == "+" else -1
-        couplings = {g: cg_transform("defining" if sign > 0 else "dual", g) for g in paths}
+        couplings = dict(zip(paths, cg_transforms("defining" if sign > 0 else "dual", paths)))
         ends, seg = {}, {}  # seg[g, target]: where g's paths start among the target's
         for g, t in couplings.items():
             for target, _, _ in t.output_blocks:

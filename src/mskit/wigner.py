@@ -80,6 +80,20 @@ def reduced_wigner_table(mu, contents) -> np.ndarray:
     return reduced_wigner_values(m[p], cont[p], j, jp).reshape(n, d, d)
 
 
+def _exact_limit(e: int) -> int:
+    """The least L with L^e >= 2^53."""
+    limit = round(2 ** (53 / e))
+    while limit ** e < 2 ** 53:
+        limit += 1
+    while (limit - 1) ** e >= 2 ** 53:
+        limit -= 1
+    return limit
+
+
+# _exact_limit(e) for e = 1, ..., 53, at index e - 1; past e = 53 it is 2
+_EXACT_LIMIT = tuple(_exact_limit(e) for e in range(1, 54))
+
+
 def reduced_wigner_values(mu, contents, j, j_prime) -> np.ndarray:
     """T(mu[p], j[p], contents[p], j_prime[p]) for every p.
 
@@ -96,19 +110,14 @@ def reduced_wigner_values(mu, contents, j, j_prime) -> np.ndarray:
     # in magnitude; the quadruples whose products could pass 2^53 (float64's
     # exact integers) are taken in Python integers, whose true division
     # rounds once
-    e = max(2 * d - 3, 1)
-    limit = round(2 ** (53 / e))
-    while limit ** e < 2 ** 53:
-        limit += 1
-    while (limit - 1) ** e >= 2 ** 53:
-        limit -= 1
-    wide = m[:, 0] - m[:, -1] >= limit - d - 1
+    e = min(max(2 * d - 3, 1), 53)
+    wide = m[:, 0] - m[:, -1] >= _EXACT_LIMIT[e - 1] - d - 1
+    if n <= _CHUNK and not wide.any():
+        return _values(m, cont, j, jp, np.int64)
     out = np.empty(n)
     for dtype, at in ((np.int64, np.flatnonzero(~wide)), (object, np.flatnonzero(wide))):
         for lo in range(0, len(at), _CHUNK):
             part = at[lo:lo + _CHUNK]
-            if len(part) == n:  # all in one pass: views, no copies
-                part = slice(None)
             out[part] = _values(m[part], cont[part], j[part], jp[part], dtype)
     return out
 

@@ -65,6 +65,20 @@ def test_triplets_are_unique_and_grouped_by_block():
         assert t.ptr[-1] == len(t.vals) == np.count_nonzero(dual_cg(mu).matrix.toarray())
 
 
+@pytest.mark.parametrize("keys", [
+    [(2, 1, 0), (3, 3, 0), (4, 0, 0)],
+    [(3, 1, 1, 0), (2, 2, 1, 0), (1, 0, 0, 0)],
+    [(1,) + (0,) * 69, (2, 1) + (0,) * 68],  # content keys past int64, told apart by bytes
+])
+def test_plan_lists_every_content_and_its_key(keys):
+    plan = cg._plan(keys)
+    pairs = [tuple(p) for p in plan.pairs.tolist()]
+    assert pairs == [c for k in keys for c in interlacing_set(k)]
+    canonical = [tuple(x - c[-1] for x in c) for c in pairs]
+    assert [plan.contents[s] for s in plan.sub] == canonical
+    assert sorted(plan.contents) == sorted(set(canonical))
+
+
 def _recursion(gammas):
     """Every staircase the dual couplings of gammas recurse into."""
     out, todo = set(), list(gammas)

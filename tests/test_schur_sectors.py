@@ -130,6 +130,29 @@ def test_entries_give_from_entries_the_same_transform(step):
             assert all(map(np.array_equal, R._zeros, V._zeros)), name
 
 
+def test_from_matrix_equals_every_entry_through_from_entries():
+    # from_matrix hands over only the entries with a set bit; handing over
+    # every entry, each +0.0 included, must give the same transform bit for bit
+    W = build_mixed_schur(3, 2, 3)  # D = 243
+    for name, V in entry_variants(W, 83).items():
+        M = V.matrix
+        R = SchurTransform.from_matrix(V.n, V.m, V.d, V.factor_order, M)
+        r, c = np.indices(M.shape).reshape(2, -1)
+        E = SchurTransform.from_entries(V.n, V.m, V.d, V.factor_order, [(r, c, M.ravel())],
+                                        M.dtype)
+        assert R.dtype == E.dtype == M.dtype, name
+        assert np.array_equal(bits(R.data), bits(E.data)), name
+        assert (R.off is None) == (E.off is None), name
+        if E.off is not None:
+            for x in ("indptr", "indices"):
+                assert np.array_equal(getattr(R.off, x), getattr(E.off, x)), name
+            assert np.array_equal(bits(R.off.data), bits(E.off.data)), name
+        assert (R._zeros is None) == (E._zeros is None), name
+        if E._zeros is not None:
+            assert all(map(np.array_equal, R._zeros, E._zeros)), name
+        assert np.array_equal(bits(R.matrix), bits(M)), name
+
+
 def test_take_rows_is_the_scatter_of_entries():
     W = build_mixed_schur(3, 2, 3)  # D = 243, so take_rows reads several chunks
     for name, V in entry_variants(W, 81).items():
@@ -310,11 +333,10 @@ def test_a_diagram_operator_that_joins_two_weights_is_refused(monkeypatch, capsy
 def test_a_coupling_that_joins_two_weights_is_refused(monkeypatch, capsys):
     # the first stored entry of the coupling of (1, 0) moves to a row of
     # another weight, so the cascade can no longer run inside the sectors
-    coupling = schur.cg_transform
+    couplings = schur.cg_transforms
 
-    def joining(kind, gamma, *args):
-        t = coupling(kind, gamma, *args)
-        if (kind, gamma) != ("defining", (1, 0)):
+    def join(t):
+        if (t.kind, t.input_irrep) != ("defining", (1, 0)):
             return t
         row_weights = np.concatenate([pattern_weights(g) for g, _, _ in t.output_blocks])
         A = t.matrix.toarray()
@@ -323,7 +345,10 @@ def test_a_coupling_that_joins_two_weights_is_refused(monkeypatch, capsys):
         A[r2, c], A[r, c] = A[r, c], 0.0
         return dataclasses.replace(t, matrix=cg.CouplingMatrix(A))
 
-    monkeypatch.setattr(schur, "cg_transform", joining)
+    def joining(kind, gammas, *args):
+        return [join(t) for t in couplings(kind, gammas, *args)]
+
+    monkeypatch.setattr(schur, "cg_transforms", joining)
     with pytest.raises(RuntimeError, match="joins two weights"):
         build_mixed_schur(2, 2, 2)
     capsys.readouterr()
